@@ -73,8 +73,20 @@ echo "== fuzz smoke corpus =="
 echo "== fault-injection churn =="
 MYST_ARENA_POISON=1 ./mystique-fuzz --seed 7 --churn
 
+# Fleet-sweep bit-identity at paper-scale shapes, which ctest does not
+# reach: fleet_bench checks that every group replays bit-identically across
+# K=1/K=4 and the cold, disk and memory plan tiers, and reports the verdict
+# as "correct" in the JSON result on its last output line.
+echo "== fleet sweep bit-identity (fleet_mix) =="
+cd ..
+python3 fleetbench/run.py --workload fleet_mix --seed 1 --seconds 9 --trace 0 \
+    | tee /tmp/myst_fleet_mix.txt
+python3 -c 'import json, sys
+last = open(sys.argv[1]).read().splitlines()[-1]
+sys.exit(0 if json.loads(last).get("correct") is True else 1)' /tmp/myst_fleet_mix.txt \
+    || { echo "FAIL: fleet_mix sweep is not bit-identical across K and plan tiers"; exit 1; }
+
 # Docs must not drift from the code: every env var, symbol, and file path
 # referenced from README.md / docs/ has to exist in the tree.
 echo "== doc-link check =="
-cd ..
 ./scripts/check_docs.sh

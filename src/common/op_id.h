@@ -29,8 +29,9 @@ using OpId = std::int32_t;
 inline constexpr OpId kInvalidOpId = -1;
 
 /// Lazily-filled OpId cache embedded in structures that are shared through
-/// const references (et::Node, jit::IrNode).  Resolution is idempotent —
-/// every writer stores the same value for a given name — but concurrent
+/// const references (et::Node, the steps of a compiled jit::Function).
+/// Resolution is idempotent — every writer stores the same value for a
+/// given name — but concurrent
 /// plain writes would still be a data race, so the slot is a relaxed atomic;
 /// this costs nothing on the read path.  Copying transfers the cached value
 /// (it is equally valid for the copy).

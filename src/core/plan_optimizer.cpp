@@ -561,23 +561,24 @@ dep_graph_fingerprint(const DepGraph& graph)
 }
 
 void
-execute_fused_group(fw::Session& session, const FusedGroup& group, TensorManager& tm)
+execute_fused_group(fw::Session& session, const FusedGroup& group,
+                    const GroupTensorSlots& slots, TensorManager& tm)
 {
     thread_local fw::FusedChainCall call; // reused: vectors keep capacity
     call.stages = group.stages.data();
     call.n_stages = group.stages.size();
     call.dead = group.dead;
-    call.input = tm.resolve(group.input_meta);
+    call.input = tm.get(slots.input);
     call.operands.clear();
-    for (const auto& m : group.operand_metas)
-        call.operands.push_back(tm.resolve(m));
+    for (const int32_t slot : slots.operands)
+        call.operands.push_back(tm.get(slot));
     if (!group.dead)
         call.out_shape = call.input.shape(); // what each verbatim link allocs
 
     fw::run_fused_chain(session, call);
 
     if (!group.dead)
-        tm.bind_output(group.output_meta, call.out);
+        tm.set(slots.output, std::move(call.out));
     call.input = fw::Tensor();
     call.out = fw::Tensor();
     call.operands.clear();

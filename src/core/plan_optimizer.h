@@ -140,9 +140,10 @@ void finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
 /// Recomputes the derivable counters from @p groups (optimize_us = 0).
 OptimizerStats derive_optimizer_stats(const std::vector<FusedGroup>& groups);
 
-/// Executes one group in the replay hot loop: resolves the chain input and
-/// operands, runs the loop-fused interpreter kernel, binds the final output.
+/// Executes one group in the replay hot loop: reads the chain input and
+/// operands from their @p slots, runs the loop-fused interpreter kernel,
+/// binds the final output.
 void execute_fused_group(fw::Session& session, const FusedGroup& group,
-                         TensorManager& tm);
+                         const GroupTensorSlots& slots, TensorManager& tm);
 
 } // namespace mystique::core

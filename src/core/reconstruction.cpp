@@ -1,6 +1,7 @@
 #include "core/reconstruction.h"
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "jit/schema.h"
 
@@ -44,8 +45,25 @@ argument_to_constant(const et::Argument& arg)
     return c;
 }
 
+/// The IValue of a tensor or tensor-list argument, read from the slots at
+/// @p slot (advanced past the argument's tensors).
 fw::IValue
-argument_to_ivalue(const et::Argument& arg, const TensorManager& tm)
+tensor_argument(const et::Argument& arg, const int32_t*& slot, const TensorManager& tm)
+{
+    if (arg.kind == et::Argument::Kind::kTensor) {
+        fw::IValue v(tm.get(*slot));
+        slot += arg.tensors.size();
+        return v;
+    }
+    std::vector<fw::Tensor> ts;
+    ts.reserve(arg.tensors.size());
+    for (std::size_t k = 0; k < arg.tensors.size(); ++k)
+        ts.push_back(tm.get(*slot++));
+    return fw::IValue(std::move(ts));
+}
+
+fw::IValue
+argument_to_ivalue(const et::Argument& arg, const int32_t*& slot, const TensorManager& tm)
 {
     switch (arg.kind) {
       case et::Argument::Kind::kNone:
@@ -61,14 +79,8 @@ argument_to_ivalue(const et::Argument& arg, const TensorManager& tm)
       case et::Argument::Kind::kString:
         return fw::IValue(arg.string_value);
       case et::Argument::Kind::kTensor:
-        return fw::IValue(tm.resolve(arg.tensors[0]));
-      case et::Argument::Kind::kTensorList: {
-        std::vector<fw::Tensor> ts;
-        ts.reserve(arg.tensors.size());
-        for (const auto& m : arg.tensors)
-            ts.push_back(tm.resolve(m));
-        return fw::IValue(std::move(ts));
-      }
+      case et::Argument::Kind::kTensorList:
+        return tensor_argument(arg, slot, tm);
     }
     return fw::IValue::none();
 }
@@ -97,36 +109,51 @@ Reconstructor::reconstruct(const et::Node& node, bool supported)
         constants.push_back(argument_to_constant(arg));
 
     op.ir_text = jit::build_ir_text(schema, constants);
-    jit::Graph graph = jit::parse_ir(op.ir_text);
-    op.fn = &cu_.create_function(strprintf("%s_n%lld", node.name.c_str(),
-                                           static_cast<long long>(node.id)),
-                                 std::move(graph));
-    op.kind = ReconstructedOp::Kind::kCompiledIr;
+    op.fn = &compile(op.ir_text, node);
     return op;
 }
 
+const jit::Function&
+Reconstructor::compile(const std::string& ir_text, const et::Node& node)
+{
+    auto it = by_text_.find(ir_text);
+    if (it == by_text_.end()) {
+        // Named after the IR, not the node: every op sharing the text runs
+        // it, so run() diagnostics must not point at one particular node.
+        Fnv1a h;
+        h.mix(ir_text);
+        const std::string name = strprintf("%s_ir%016llx", node.name.c_str(),
+                                           static_cast<unsigned long long>(h.value()));
+        it = by_text_.emplace(ir_text, &cu_.create_function(name, jit::parse_ir(ir_text))).first;
+    }
+    return *it->second;
+}
+
 bool
-execute_reconstructed(fw::Session& session, const ReconstructedOp& op, TensorManager& tm)
+execute_reconstructed(fw::Session& session, const ReconstructedOp& op,
+                       const OpTensorSlots& slots, TensorManager& tm)
 {
     if (op.kind == ReconstructedOp::Kind::kSkipped)
         return false;
     const et::Node& node = *op.node;
 
+    const int32_t* in = slots.inputs.data();
     std::vector<fw::IValue> outputs;
     if (op.kind == ReconstructedOp::Kind::kCompiledIr) {
         // Only tensor-like, present arguments feed the compiled function.
         std::vector<fw::IValue> tensor_inputs;
+        tensor_inputs.reserve(op.fn->num_inputs());
         for (const auto& arg : node.inputs) {
             if (arg.kind == et::Argument::Kind::kTensor ||
                 arg.kind == et::Argument::Kind::kTensorList)
-                tensor_inputs.push_back(argument_to_ivalue(arg, tm));
+                tensor_inputs.push_back(tensor_argument(arg, in, tm));
         }
-        outputs = op.fn->run(session, tensor_inputs);
+        outputs = op.fn->run(session, std::move(tensor_inputs));
     } else {
         std::vector<fw::IValue> inputs;
         inputs.reserve(node.inputs.size());
         for (const auto& arg : node.inputs)
-            inputs.push_back(argument_to_ivalue(arg, tm));
+            inputs.push_back(argument_to_ivalue(arg, in, tm));
         // Direct registry dispatch by interned identity (no name lookup on
         // the per-op replay path); unresolved ids fall back to the string
         // overload for its diagnostic.
@@ -134,19 +161,21 @@ execute_reconstructed(fw::Session& session, const ReconstructedOp& op, TensorMan
                                            : session.call(node.name, std::move(inputs));
     }
 
-    // Bind outputs back to their recorded tensor IDs for downstream
+    // Bind outputs back to their recorded tensors' slots for downstream
     // consumers (§4.4 intermediate-tensor forwarding).
+    const int32_t* out = slots.outputs.data();
     const std::size_t n = std::min(outputs.size(), node.outputs.size());
     for (std::size_t i = 0; i < n; ++i) {
         const auto& rec = node.outputs[i];
         if (rec.kind == et::Argument::Kind::kTensor && outputs[i].is_tensor()) {
-            tm.bind_output(rec.tensors[0], outputs[i].tensor());
+            tm.set(*out, outputs[i].tensor());
         } else if (rec.kind == et::Argument::Kind::kTensorList &&
                    outputs[i].is_tensor_list()) {
             const auto& ts = outputs[i].tensor_list();
             for (std::size_t k = 0; k < std::min(ts.size(), rec.tensors.size()); ++k)
-                tm.bind_output(rec.tensors[k], ts[k]);
+                tm.set(out[k], ts[k]);
         }
+        out += rec.tensors.size();
     }
     return true;
 }

@@ -14,6 +14,8 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/tensor_manager.h"
@@ -71,25 +73,27 @@ class Reconstructor {
         return ReconstructedOp::Kind::kCompiledIr;
     }
 
-    /// Compiles an already-generated graph into this unit — the plan-restore
-    /// path (ReplayPlan::from_json) parses recorded IR text directly instead
-    /// of re-deriving it from schemas, and ops with identical IR share the
-    /// resulting function.
-    const jit::Function& create_function(const std::string& name, jit::Graph graph)
-    {
-        return cu_.create_function(name, std::move(graph));
-    }
+    /// The compiled function for @p ir_text, parsing and compiling it on
+    /// first sight only: ops with identical IR share one function (its
+    /// execution state lives in the per-rank session, never in the
+    /// function).  Both reconstruct() and the plan-restore path
+    /// (ReplayPlan::from_json) compile through here.  Malformed text throws
+    /// ParseError.
+    /// @param node  its op name prefixes the function's name
+    ///        ("<op>_ir<hash of ir_text>") when it is compiled here
+    const jit::Function& compile(const std::string& ir_text, const et::Node& node);
 
     const jit::CompilationUnit& compilation_unit() const { return cu_; }
 
   private:
     jit::CompilationUnit cu_;
+    std::unordered_map<std::string, const jit::Function*> by_text_;
 };
 
-/// Executes a reconstructed op: resolves tensor arguments through the tensor
-/// manager, invokes the callable, and binds outputs back to their recorded
-/// tensor IDs.  Returns false when the op was skipped.
+/// Executes a reconstructed op: resolves tensor arguments from their
+/// @p slots in the tensor manager, invokes the callable, and binds outputs
+/// back to their slots.  Returns false when the op was skipped.
 bool execute_reconstructed(fw::Session& session, const ReconstructedOp& op,
-                           TensorManager& tm);
+                           const OpTensorSlots& slots, TensorManager& tm);
 
 } // namespace mystique::core

@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/hash.h"
-#include "common/string_util.h"
 #include "framework/op_registry.h"
 #include "jit/ir.h"
 
@@ -46,6 +45,36 @@ category_from_name(const std::string& name)
             return c;
     }
     MYST_THROW(ParseError, "plan json: unknown op category '" + name + "'");
+}
+
+/// The plan's tensor layout: one pure function of the final ops and fused
+/// groups, shared by build and restore.  Skipped ops take part as null
+/// nodes, so op(i) indexes like the plan's ops.
+TensorLayout
+derive_tensor_layout(const std::vector<ReconstructedOp>& ops,
+                     const std::vector<FusedGroup>& groups)
+{
+    std::vector<const et::Node*> nodes;
+    nodes.reserve(ops.size());
+    for (const ReconstructedOp& op : ops)
+        nodes.push_back(op.kind == ReconstructedOp::Kind::kSkipped ? nullptr : op.node);
+    TensorLayout layout = TensorLayout::derive(nodes);
+    layout.groups.reserve(groups.size());
+    // Group tensors are member arguments, so they always have slots.
+    auto slot_of = [&](const et::TensorMeta& m) {
+        const int32_t slot = layout.slot_of(m.tensor_id);
+        MYST_CHECK_MSG(slot >= 0, "fused group tensor " << m.tensor_id << " has no slot");
+        return slot;
+    };
+    for (const FusedGroup& g : groups) {
+        GroupTensorSlots slots;
+        slots.input = slot_of(g.input_meta);
+        for (const et::TensorMeta& m : g.operand_metas)
+            slots.operands.push_back(slot_of(m));
+        slots.output = slot_of(g.output_meta);
+        layout.groups.push_back(std::move(slots));
+    }
+    return layout;
 }
 
 } // namespace
@@ -387,6 +416,7 @@ ReplayPlan::build_impl(const et::ExecutionTrace* borrowed,
     // from it, and deriving it here (once, amortized by the cache) keeps the
     // replay hot path free of def-use analysis.
     plan->dep_graph_ = build_dep_graph(plan->ops_, plan->fused_groups_);
+    plan->tensor_layout_ = derive_tensor_layout(plan->ops_, plan->fused_groups_);
     return plan;
 }
 
@@ -624,11 +654,10 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
     const Json::Array* ir_table = nullptr;
     if (const Json* t = j.find("ir_table"))
         ir_table = &t->as_array();
-    // One compiled function per distinct IR text; ops resolved through the
-    // table share by index, legacy inline strings share by content.
+    // One compiled function per distinct IR text (the reconstructor shares
+    // by content); ops resolved through the table skip even that hash.
     std::vector<const jit::Function*> compiled_by_ref(
         ir_table != nullptr ? ir_table->size() : 0, nullptr);
-    std::unordered_map<std::string, const jit::Function*> compiled_by_text;
     for (std::size_t i = 0; i < ops_j.size(); ++i) {
         const Json& o = ops_j[i];
         const SelectedOp& sel = plan->selection_.ops[i];
@@ -656,11 +685,7 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
             // Malformed IR makes parse_ir throw ParseError → the caller
             // (plan store / package import) treats the document as corrupt.
             auto compile = [&](const std::string& text) {
-                jit::Graph graph = jit::parse_ir(text);
-                return &plan->reconstructor_.create_function(
-                    strprintf("%s_n%lld", node->name.c_str(),
-                              static_cast<long long>(node->id)),
-                    std::move(graph));
+                return &plan->reconstructor_.compile(text, *node);
             };
             const Json& ir_j = o.at("ir");
             if (ir_j.is_int()) {
@@ -677,10 +702,7 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
                 op.fn = slot;
             } else {
                 op.ir_text = ir_j.as_string(); // legacy inline spelling
-                auto it = compiled_by_text.find(op.ir_text);
-                if (it == compiled_by_text.end())
-                    it = compiled_by_text.emplace(op.ir_text, compile(op.ir_text)).first;
-                op.fn = it->second;
+                op.fn = compile(op.ir_text);
             }
         }
         if (const Json* stream = o.find("stream"))
@@ -756,6 +778,7 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
     } else {
         plan->dep_graph_ = build_dep_graph(plan->ops_, plan->fused_groups_);
     }
+    plan->tensor_layout_ = derive_tensor_layout(plan->ops_, plan->fused_groups_);
     return plan;
 }
 

@@ -14,7 +14,7 @@
 /// was built from (so it is self-contained and safe to cache process-wide),
 /// and after build() returns nothing in it is ever written again except the
 /// relaxed-atomic OpIdCache slots inside its own trace copy and compiled IR
-/// graphs, whose idempotent writes are race-free by design (common/op_id.h).
+/// functions, whose idempotent writes are race-free by design (common/op_id.h).
 /// Concurrent rank executors may therefore hold `shared_ptr<const ReplayPlan>`
 /// and replay it simultaneously.
 ///
@@ -199,6 +199,12 @@ class ReplayPlan {
     /// level — the async executor schedules from it; serial replay ignores
     /// it).  Units appear in program order; see plan_optimizer.h.
     const DepGraph& dep_graph() const { return dep_graph_; }
+    /// Dense tensor slots for every executing op and fused group (indexed
+    /// like ops() and fused_groups()), with the externals and their
+    /// generation policies: what a replay binds tensors through.  Derived
+    /// from the ops at build and restore alike, never serialized, so it adds
+    /// nothing to the document or its fingerprints.
+    const TensorLayout& tensor_layout() const { return tensor_layout_; }
     /// The identity the plan was built under.  Plans from build() /
     /// the PlanCache carry the full key; borrowed one-shot plans carry only
     /// the cheap components (config_fp, has_prof) — the expensive trace and
@@ -264,6 +270,7 @@ class ReplayPlan {
     std::vector<FusedGroup> fused_groups_;
     OptimizerStats opt_stats_;
     DepGraph dep_graph_;
+    TensorLayout tensor_layout_;
 };
 
 } // namespace mystique::core

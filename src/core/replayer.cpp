@@ -142,12 +142,16 @@ run_async_iteration(fw::Session& session, const ReplayPlan& plan, TensorManager&
                 plan.fused_groups()[static_cast<std::size_t>(unit.group)];
             session.switch_thread(group.tid); // relabel only, under override
             session.set_stream_override(group.stream);
-            execute_fused_group(session, group, tm);
+            execute_fused_group(session, group,
+                                plan.tensor_layout().groups[static_cast<std::size_t>(unit.group)],
+                                tm);
         } else {
             session.reseed_for_node(op.node->id);
             session.switch_thread(op.node->tid);
             session.set_stream_override(op.stream);
-            execute_reconstructed(session, op, tm);
+            execute_reconstructed(session, op,
+                                  plan.tensor_layout().op(static_cast<std::size_t>(unit.head)),
+                                  tm);
         }
         session.set_stream_override(std::nullopt);
 
@@ -331,15 +335,11 @@ Replayer::run_with(fw::Session& session, const std::shared_ptr<comm::CommFabric>
     session.set_grad_enabled(false);
 
     const std::vector<ReconstructedOp>& ops = plan_->ops();
+    const TensorLayout& layout = plan_->tensor_layout();
 
-    TensorManager tm(session, cfg_.embedding);
-    std::vector<const et::Node*> selected_nodes;
-    selected_nodes.reserve(ops.size());
-    for (const auto& op : ops) {
-        if (op.kind != ReconstructedOp::Kind::kSkipped)
-            selected_nodes.push_back(op.node);
-    }
-    tm.analyze(selected_nodes);
+    // The layout (tensor classification, generation policies, slots) was
+    // derived once with the plan; a replay only instantiates externals.
+    TensorManager tm(session, cfg_.embedding, layout);
     tm.instantiate_externals();
 
     // The profiler is a stack local; detach on every exit path (including
@@ -381,7 +381,8 @@ Replayer::run_with(fw::Session& session, const std::shared_ptr<comm::CommFabric>
         if (async_mode) {
             iter_end = run_async_iteration(session, *plan_, tm, sched, cancel, iter_start);
         } else {
-            for (const auto& op : ops) {
+            for (std::size_t i = 0; i < ops.size(); ++i) {
+                const ReconstructedOp& op = ops[i];
                 // Cooperative deadline/cancel point: between ops, never inside
                 // one — a kernel that started always completes, so cancellation
                 // can never tear the simulated device state.
@@ -398,13 +399,15 @@ Replayer::run_with(fw::Session& session, const std::shared_ptr<comm::CommFabric>
                         plan_->fused_groups()[static_cast<std::size_t>(op.fused_group)];
                     session.switch_thread(group.tid);
                     session.set_stream_override(group.stream);
-                    execute_fused_group(session, group, tm);
+                    execute_fused_group(
+                        session, group,
+                        layout.groups[static_cast<std::size_t>(op.fused_group)], tm);
                     session.set_stream_override(std::nullopt);
                     continue;
                 }
                 session.switch_thread(op.node->tid);
                 session.set_stream_override(op.stream);
-                execute_reconstructed(session, op, tm);
+                execute_reconstructed(session, op, layout.op(i), tm);
                 session.set_stream_override(std::nullopt);
             }
             session.switch_thread(fw::kMainThread);

@@ -10,11 +10,6 @@
 
 namespace mystique::core {
 
-TensorManager::TensorManager(fw::Session& session, EmbeddingGenConfig config)
-    : session_(session), config_(config)
-{
-}
-
 namespace {
 
 /// Extracts the table row count for an embedding op from the weight arg.
@@ -27,52 +22,92 @@ weight_rows(const et::Node& node)
     return shape.empty() ? 0 : shape[0];
 }
 
+template <typename Fn>
+void
+for_each_tensor(const std::vector<et::Argument>& args, Fn&& fn)
+{
+    for (const auto& arg : args)
+        for (const auto& t : arg.tensors)
+            fn(t);
+}
+
 } // namespace
 
-void
-TensorManager::analyze(const std::vector<const et::Node*>& selected_ops)
+TensorLayout
+TensorLayout::derive(const std::vector<const et::Node*>& nodes)
 {
-    // Pass 1: classify by first appearance, walking execution order (§4.4).
-    auto note_input = [&](const et::TensorMeta& m) {
-        if (intermediates_.count(m.tensor_id) == 0 && externals_.count(m.tensor_id) == 0)
-            externals_[m.tensor_id] = m;
+    TensorLayout layout;
+    auto for_each_node_tensor = [&](auto&& fn) {
+        for (const et::Node* node : nodes) {
+            if (node != nullptr) {
+                for_each_tensor(node->inputs, fn);
+                for_each_tensor(node->outputs, fn);
+            }
+        }
     };
-    auto note_output = [&](const et::TensorMeta& m) {
-        if (externals_.count(m.tensor_id) == 0)
-            intermediates_[m.tensor_id] = true;
-    };
-    for (const et::Node* node : selected_ops) {
-        for (const auto& arg : node->inputs)
-            for (const auto& t : arg.tensors)
-                note_input(t);
-        for (const auto& arg : node->outputs)
-            for (const auto& t : arg.tensors)
-                note_output(t);
+
+    // Dense slots in ascending uid order.
+    for_each_node_tensor([&](const et::TensorMeta& m) { layout.uids.push_back(m.tensor_id); });
+    std::sort(layout.uids.begin(), layout.uids.end());
+    layout.uids.erase(std::unique(layout.uids.begin(), layout.uids.end()), layout.uids.end());
+    const std::size_t n = layout.uids.size();
+
+    // Slot lists, and pass 1: classify by first appearance, walking
+    // execution order (§4.4).
+    enum : uint8_t { kUnseen, kExternal, kIntermediate };
+    std::vector<uint8_t> cls(n, kUnseen);
+    std::vector<const et::TensorMeta*> first_meta(n, nullptr);
+    std::vector<const et::Node*> producer(n, nullptr); // last producer
+    layout.ops_.reserve(nodes.size());
+    for (const et::Node* node : nodes) {
+        OpRange r;
+        r.in = static_cast<uint32_t>(layout.slots_.size());
+        if (node != nullptr) {
+            for_each_tensor(node->inputs, [&](const et::TensorMeta& m) {
+                const int32_t slot = layout.slot_of(m.tensor_id);
+                layout.slots_.push_back(slot);
+                if (cls[static_cast<std::size_t>(slot)] == kUnseen) {
+                    cls[static_cast<std::size_t>(slot)] = kExternal;
+                    first_meta[static_cast<std::size_t>(slot)] = &m;
+                }
+            });
+        }
+        r.n_in = static_cast<uint32_t>(layout.slots_.size()) - r.in;
+        r.out = static_cast<uint32_t>(layout.slots_.size());
+        if (node != nullptr) {
+            for_each_tensor(node->outputs, [&](const et::TensorMeta& m) {
+                const int32_t slot = layout.slot_of(m.tensor_id);
+                layout.slots_.push_back(slot);
+                if (cls[static_cast<std::size_t>(slot)] != kExternal)
+                    cls[static_cast<std::size_t>(slot)] = kIntermediate;
+                producer[static_cast<std::size_t>(slot)] = node;
+            });
+        }
+        r.n_out = static_cast<uint32_t>(layout.slots_.size()) - r.out;
+        layout.ops_.push_back(r);
     }
 
     // Pass 2: derive int64 generation policies from consuming ops.  Policies
     // must land on the *external* source tensor, so they propagate backwards
     // through pass-through copy ops (the dataloader→device transfer chain:
     // host indices → aten::to.device → device indices → embedding_bag).
-    std::map<int64_t, const et::Node*> producer;
-    for (const et::Node* node : selected_ops) {
-        for (const auto& arg : node->outputs)
-            for (const auto& t : arg.tensors)
-                producer[t.tensor_id] = node;
-    }
+    std::vector<Int64GenPolicy> policies(n);
     auto set_policy = [&](const et::Argument& arg, Int64GenPolicy policy) {
         if (arg.kind != et::Argument::Kind::kTensor)
             return;
         int64_t uid = arg.tensors[0].tensor_id;
         for (int hops = 0; hops < 8; ++hops) {
-            if (externals_.count(uid) != 0) {
-                policies_[uid] = policy;
+            const int32_t found = layout.slot_of(uid);
+            if (found < 0)
+                return;
+            const auto slot = static_cast<std::size_t>(found);
+            if (cls[slot] == kExternal) {
+                policies[slot] = policy;
                 return;
             }
-            auto it = producer.find(uid);
-            if (it == producer.end())
+            const et::Node* p = producer[slot];
+            if (p == nullptr)
                 return;
-            const et::Node* p = it->second;
             // Interned-identity comparison: each node's name resolves at most
             // once (cached in node.op_id); MYST_OP resolves the literal once
             // per call site.
@@ -84,7 +119,9 @@ TensorManager::analyze(const std::vector<const et::Node*>& selected_ops)
             uid = p->inputs[0].tensors[0].tensor_id;
         }
     };
-    for (const et::Node* node : selected_ops) {
+    for (const et::Node* node : nodes) {
+        if (node == nullptr)
+            continue;
         const OpId id = et::resolve_op_id(*node);
         if (id == MYST_OP("aten::embedding_bag") ||
             id == MYST_OP("fbgemm::batched_embedding_lookup")) {
@@ -104,11 +141,64 @@ TensorManager::analyze(const std::vector<const et::Node*>& selected_ops)
             set_policy(node->inputs[1], {Int64GenPolicy::Kind::kClasses, classes, 0});
         }
     }
+
+    for (std::size_t slot = 0; slot < n; ++slot) {
+        if (cls[slot] == kExternal)
+            layout.externals.push_back(
+                {static_cast<int32_t>(slot), first_meta[slot], policies[slot]});
+        else if (cls[slot] == kIntermediate)
+            ++layout.num_intermediate;
+    }
+    return layout;
+}
+
+int32_t
+TensorLayout::slot_of(int64_t uid) const
+{
+    const auto it = std::lower_bound(uids.begin(), uids.end(), uid);
+    if (it == uids.end() || *it != uid)
+        return -1;
+    return static_cast<int32_t>(it - uids.begin());
+}
+
+TensorManager::TensorManager(fw::Session& session, EmbeddingGenConfig config,
+                             const TensorLayout& layout)
+    : session_(session), config_(config), layout_(&layout)
+{
+    reset_bindings();
+}
+
+TensorManager::TensorManager(fw::Session& session, EmbeddingGenConfig config)
+    : session_(session), config_(config), owned_layout_(std::make_unique<TensorLayout>()),
+      layout_(owned_layout_.get())
+{
+}
+
+void
+TensorManager::analyze(const std::vector<const et::Node*>& selected_ops)
+{
+    owned_layout_ = std::make_unique<TensorLayout>(TensorLayout::derive(selected_ops));
+    layout_ = owned_layout_.get();
+    reset_bindings();
+}
+
+void
+TensorManager::reset_bindings()
+{
+    bindings_.assign(layout_->uids.size(), fw::Tensor());
+    bound_.assign(layout_->uids.size(), 0);
+}
+
+void
+TensorManager::throw_unbound(int64_t uid)
+{
+    MYST_THROW(ReplayError, "tensor " << uid << " consumed before production during replay");
 }
 
 fw::Tensor
-TensorManager::generate_external(const et::TensorMeta& meta)
+TensorManager::generate_external(const TensorLayout::External& ext)
 {
+    const et::TensorMeta& meta = *ext.meta;
     const fw::DType dtype = fw::dtype_from_name(meta.dtype);
     fw::Tensor t = session_.alloc(meta.shape, dtype, /*force_materialize=*/
                                   dtype != fw::DType::kFloat32);
@@ -122,11 +212,7 @@ TensorManager::generate_external(const et::TensorMeta& meta)
     if (dtype != fw::DType::kInt64)
         return t;
 
-    Int64GenPolicy policy;
-    auto it = policies_.find(meta.tensor_id);
-    if (it != policies_.end())
-        policy = it->second;
-
+    const Int64GenPolicy& policy = ext.policy;
     int64_t* data = t.i64();
     const int64_t n = t.numel();
     switch (policy.kind) {
@@ -163,34 +249,21 @@ TensorManager::generate_external(const et::TensorMeta& meta)
 void
 TensorManager::instantiate_externals()
 {
-    for (const auto& [uid, meta] : externals_) {
-        if (bindings_.count(uid) == 0)
-            bindings_[uid] = generate_external(meta);
+    for (const TensorLayout::External& ext : layout_->externals) {
+        if (bound_[static_cast<std::size_t>(ext.slot)] == 0)
+            set(ext.slot, generate_external(ext));
     }
-}
-
-fw::Tensor
-TensorManager::resolve(const et::TensorMeta& meta) const
-{
-    auto it = bindings_.find(meta.tensor_id);
-    if (it == bindings_.end())
-        MYST_THROW(ReplayError, "tensor " << meta.tensor_id
-                                          << " consumed before production during replay");
-    return it->second;
-}
-
-void
-TensorManager::bind_output(const et::TensorMeta& meta, fw::Tensor t)
-{
-    bindings_[meta.tensor_id] = std::move(t);
 }
 
 uint64_t
 TensorManager::digest() const
 {
     Fnv1a h;
-    for (const auto& [uid, t] : bindings_) {
-        h.mix_pod(uid);
+    for (std::size_t slot = 0; slot < bindings_.size(); ++slot) {
+        if (bound_[slot] == 0)
+            continue;
+        const fw::Tensor& t = bindings_[slot];
+        h.mix_pod(layout_->uids[slot]);
         if (!t.defined() || !t.materialized()) {
             h.mix_pod(static_cast<int64_t>(-1)); // shape-only binding
             continue;

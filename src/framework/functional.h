@@ -148,9 +148,7 @@ dropout(Session& s, const Tensor& x, double p, bool train = true)
 inline Tensor
 to_device(Session& s, const Tensor& x)
 {
-    const std::string dev_name =
-        s.options().platform.is_gpu ? "cuda:" + std::to_string(s.rank()) : "cpu";
-    return s.call_t(MYST_OP("aten::to.device"), {IValue(x), IValue(dev_name)});
+    return s.call_t(MYST_OP("aten::to.device"), {IValue(x), IValue(s.device_name())});
 }
 
 inline Tensor

@@ -33,6 +33,7 @@ DispatchProfile::replay()
 
 Session::Session(SessionOptions opts)
     : opts_(std::move(opts)),
+      device_name_(opts_.platform.is_gpu ? "cuda:" + std::to_string(opts_.rank) : "cpu"),
       device_(opts_.platform, opts_.power_limit_w),
       rng_(opts_.seed + 0x9E37 * static_cast<uint64_t>(opts_.rank + 1)),
       arena_(std::make_shared<StorageArena>()),
@@ -380,8 +381,7 @@ Session::alloc(Shape shape, DType dtype, bool force_materialize)
 {
     const bool mat = numeric() || force_materialize || dtype != DType::kFloat32;
     Tensor t = Tensor::create(std::move(shape), dtype, mat, arena_);
-    t.impl()->device =
-        opts_.platform.is_gpu ? "cuda:" + std::to_string(opts_.rank) : "cpu";
+    t.impl()->device = device_name_;
     t.set_ready_us(clock().now());
     return t;
 }

@@ -219,6 +219,9 @@ class Session {
     const dev::Device& device() const { return device_; }
     Rng& rng() { return rng_; }
     int rank() const { return opts_.rank; }
+    /// The device tensors of this session live on ("cuda:<rank>" on GPU
+    /// platforms, "cpu" otherwise); computed once at construction.
+    const std::string& device_name() const { return device_name_; }
 
     /// Reseeds the RNG as a pure function of (session seed, rank, node id).
     /// The async executor calls this before every unit so jitter draws stop
@@ -271,6 +274,7 @@ class Session {
                            const std::vector<IValue>& outputs);
 
     SessionOptions opts_;
+    std::string device_name_;
     dev::Device device_;
     Rng rng_;
     std::shared_ptr<StorageArena> arena_;

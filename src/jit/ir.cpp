@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <sstream>
+#include <utility>
 
 #include "common/error.h"
 #include "common/string_util.h"
@@ -336,73 +337,121 @@ parse_ir(const std::string& text)
     return IrParser(text).parse();
 }
 
-Function::Function(std::string name, Graph graph)
-    : name_(std::move(name)), graph_(std::move(graph))
+Function::Function(std::string name, const Graph& graph)
+    : name_(std::move(name)), num_inputs_(graph.input_names.size())
 {
-    // Resolve operator identities once at compile time (§4.3.4: all
-    // reconstruction work happens during initialization).  Ops not yet
-    // registered stay unresolved and are retried lazily by run().
-    for (const auto& node : graph_.nodes) {
-        if (node.op == "prim::Constant")
+    // Value name → operand, live only while compiling.  Per-op graphs hold
+    // a handful of values, so a backwards linear scan beats hashing; it also
+    // finds a redefined name's latest definition (each gets a fresh slot).
+    std::vector<std::pair<const std::string*, Operand>> defined;
+    uint32_t next_slot = 0;
+    auto define = [&](const std::string& value, Operand op) { defined.emplace_back(&value, op); };
+    for (const auto& in : graph.input_names)
+        define(in, Operand{next_slot++, false, false});
+    auto lookup = [&](const std::string& value, const char* what) {
+        for (auto it = defined.rbegin(); it != defined.rend(); ++it) {
+            if (*it->first == value)
+                return it->second;
+        }
+        MYST_THROW(ReplayError, "IR " << what << " '" << value << "' undefined in " << name_);
+    };
+
+    for (const auto& node : graph.nodes) {
+        if (node.op == "prim::Constant") {
+            if (node.outputs.empty())
+                MYST_THROW(ReplayError, "IR constant without an output in " << name_);
+            define(node.outputs[0],
+                   Operand{static_cast<uint32_t>(constants_.size()), true, false});
+            constants_.push_back(node.constant.to_ivalue());
             continue;
+        }
+        Step step;
+        step.op = node.op;
+        // Resolve operator identities once at compile time (§4.3.4: all
+        // reconstruction work happens during initialization).  Ops not yet
+        // registered stay unresolved and are retried lazily by run().
         if (const fw::OpDef* def = fw::OpRegistry::instance().find(node.op))
-            node.op_id.store(def->id);
+            step.op_id.store(def->id);
+        step.args.reserve(node.inputs.size());
+        for (const auto& in : node.inputs)
+            step.args.push_back(lookup(in, "value"));
+        for (const auto& out : node.outputs) {
+            step.outputs.push_back(next_slot);
+            define(out, Operand{next_slot++, false, false});
+        }
+        steps_.push_back(std::move(step));
     }
+    for (const auto& r : graph.return_values)
+        returns_.push_back(lookup(r, "return value"));
+
+    // Last-use analysis, walking reads backwards: the first read of a slot
+    // met is its last, and may move the value out of the environment.
+    std::vector<bool> read_later(next_slot, false);
+    auto mark = [&](Operand& a) {
+        if (!a.constant && !read_later[a.index]) {
+            a.last_use = true;
+            read_later[a.index] = true;
+        }
+    };
+    for (auto it = returns_.rbegin(); it != returns_.rend(); ++it)
+        mark(*it);
+    for (auto step = steps_.rbegin(); step != steps_.rend(); ++step)
+        for (auto a = step->args.rbegin(); a != step->args.rend(); ++a)
+            mark(*a);
+
+    num_slots_ = next_slot;
 }
 
 std::vector<fw::IValue>
-Function::run(fw::Session& sess, const std::vector<fw::IValue>& tensor_inputs) const
+Function::run(fw::Session& sess, std::vector<fw::IValue> tensor_inputs) const
 {
-    if (tensor_inputs.size() != graph_.input_names.size())
-        MYST_THROW(ReplayError, "compiled fn '" << name_ << "' expects "
-                                                << graph_.input_names.size()
+    if (tensor_inputs.size() != num_inputs_)
+        MYST_THROW(ReplayError, "compiled fn '" << name_ << "' expects " << num_inputs_
                                                 << " inputs, got " << tensor_inputs.size());
-    std::unordered_map<std::string, fw::IValue> env;
-    for (std::size_t i = 0; i < tensor_inputs.size(); ++i)
-        env[graph_.input_names[i]] = tensor_inputs[i];
+    std::vector<fw::IValue> env = std::move(tensor_inputs);
+    env.resize(num_slots_);
+    auto take = [&](const Operand& a) -> fw::IValue {
+        if (a.constant)
+            return constants_[a.index];
+        if (a.last_use)
+            return std::move(env[a.index]);
+        return env[a.index];
+    };
 
-    for (const auto& node : graph_.nodes) {
-        if (node.op == "prim::Constant") {
-            env[node.outputs.at(0)] = node.constant.to_ivalue();
-            continue;
-        }
+    for (const Step& step : steps_) {
         std::vector<fw::IValue> args;
-        args.reserve(node.inputs.size());
-        for (const auto& in : node.inputs) {
-            auto it = env.find(in);
-            if (it == env.end())
-                MYST_THROW(ReplayError, "IR value '" << in << "' undefined in " << name_);
-            args.push_back(it->second);
-        }
-        OpId op_id = node.op_id.load();
+        args.reserve(step.args.size());
+        for (const Operand& a : step.args)
+            args.push_back(take(a));
+        OpId op_id = step.op_id.load();
         if (op_id == kInvalidOpId) {
-            if (const fw::OpDef* def = fw::OpRegistry::instance().find(node.op)) {
+            if (const fw::OpDef* def = fw::OpRegistry::instance().find(step.op)) {
                 op_id = def->id;
-                node.op_id.store(op_id);
+                step.op_id.store(op_id);
             }
         }
         std::vector<fw::IValue> outs = op_id != kInvalidOpId
                                            ? sess.call(op_id, std::move(args))
-                                           : sess.call(node.op, std::move(args));
-        for (std::size_t i = 0; i < node.outputs.size() && i < outs.size(); ++i)
-            env[node.outputs[i]] = outs[i];
+                                           : sess.call(step.op, std::move(args));
+        if (outs.size() < step.outputs.size())
+            MYST_THROW(ReplayError, "'" << step.op << "' returned " << outs.size()
+                                        << " values, IR expects " << step.outputs.size()
+                                        << " in " << name_);
+        for (std::size_t i = 0; i < step.outputs.size(); ++i)
+            env[step.outputs[i]] = std::move(outs[i]);
     }
 
     std::vector<fw::IValue> rets;
-    rets.reserve(graph_.return_values.size());
-    for (const auto& r : graph_.return_values) {
-        auto it = env.find(r);
-        if (it == env.end())
-            MYST_THROW(ReplayError, "IR return value '" << r << "' undefined in " << name_);
-        rets.push_back(it->second);
-    }
+    rets.reserve(returns_.size());
+    for (const Operand& r : returns_)
+        rets.push_back(take(r));
     return rets;
 }
 
 const Function&
-CompilationUnit::create_function(const std::string& name, Graph graph)
+CompilationUnit::create_function(const std::string& name, const Graph& graph)
 {
-    functions_.push_back(std::make_unique<Function>(name, std::move(graph)));
+    functions_.push_back(std::make_unique<Function>(name, graph));
     return *functions_.back();
 }
 

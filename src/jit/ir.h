@@ -56,11 +56,6 @@ struct IrNode {
     std::string op;                        ///< "prim::Constant" or "aten::addmm"
     Constant constant;                     ///< valid when op == prim::Constant
     std::vector<std::string> inputs;       ///< "%x.1", "%4"
-    /// Interned identity of `op`, resolved once when the Function is
-    /// compiled (lazily for ops registered later), so the interpreter's
-    /// per-node dispatch never re-hashes the name.  A cache filled through
-    /// the const graph the interpreter walks.
-    OpIdCache op_id;
 };
 
 /// A parsed graph.
@@ -87,29 +82,56 @@ std::string build_ir_text(const FunctionSchema& schema,
 Graph parse_ir(const std::string& text);
 
 /// A compiled callable over a Graph.
+///
+/// Construction compiles the graph into a *slot program*: every IR value
+/// name maps to a dense slot index, each prim::Constant becomes an IValue
+/// once, and every operator node becomes a step reading and writing slots.
+/// A value or return that no input or earlier node defines throws
+/// ReplayError here, at compile time.  The graph itself is not kept, so
+/// run() does no string, hash or tree lookup: its environment is a vector
+/// indexed by slot, and each value moves into the step that reads it last.
 class Function {
   public:
-    Function(std::string name, Graph graph);
+    Function(std::string name, const Graph& graph);
 
     const std::string& name() const { return name_; }
-    const Graph& graph() const { return graph_; }
+    std::size_t num_inputs() const { return num_inputs_; }
 
-    /// Executes the graph: binds @p tensor_inputs to the graph inputs in
-    /// order, materializes constants, dispatches operator nodes through the
-    /// session, and returns the graph's return values.
+    /// Executes the program: binds @p tensor_inputs to the graph inputs in
+    /// order, dispatches operator steps through the session with the
+    /// precompiled constants, and returns the graph's return values.
     std::vector<fw::IValue> run(fw::Session& sess,
-                                const std::vector<fw::IValue>& tensor_inputs) const;
+                                std::vector<fw::IValue> tensor_inputs) const;
 
   private:
+    /// One argument of a step: an environment slot or a compiled constant.
+    struct Operand {
+        uint32_t index = 0;
+        bool constant = false; ///< index into constants_ instead of a slot
+        bool last_use = false; ///< slot is never read again: move, not copy
+    };
+    struct Step {
+        std::string op; ///< for lazy resolution and diagnostics only
+        /// Interned identity of `op`, resolved at compile time (lazily for
+        /// ops registered later) so dispatch never re-hashes the name.
+        OpIdCache op_id;
+        std::vector<Operand> args;
+        std::vector<uint32_t> outputs; ///< slots
+    };
+
     std::string name_;
-    Graph graph_;
+    std::size_t num_inputs_ = 0; ///< inputs occupy slots [0, num_inputs_)
+    std::vector<fw::IValue> constants_;
+    std::vector<Step> steps_;
+    std::vector<Operand> returns_;
+    std::size_t num_slots_ = 0; ///< size of run()'s environment
 };
 
 /// Owns compiled functions (torch._C.CompilationUnit analogue).
 class CompilationUnit {
   public:
     /// Compiles a graph into a named function and retains it.
-    const Function& create_function(const std::string& name, Graph graph);
+    const Function& create_function(const std::string& name, const Graph& graph);
 
     const Function* find(const std::string& name) const;
     std::size_t size() const { return functions_.size(); }

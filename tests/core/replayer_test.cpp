@@ -260,10 +260,12 @@ TEST(Replayer, EmbeddingConfigShiftsTiming)
     cfg.embedding.zipf_s = 1.2;
     Replayer zipf(trace, nullptr, cfg);
     double emb_uniform = 0.0, emb_zipf = 0.0;
-    for (const auto& k : uniform.run().prof.kernels())
+    const ReplayResult uniform_result = uniform.run();
+    const ReplayResult zipf_result = zipf.run();
+    for (const auto& k : uniform_result.prof.kernels())
         if (k.kind == dev::KernelKind::kEmbedding)
             emb_uniform += k.dur;
-    for (const auto& k : zipf.run().prof.kernels())
+    for (const auto& k : zipf_result.prof.kernels())
         if (k.kind == dev::KernelKind::kEmbedding)
             emb_zipf += k.dur;
     EXPECT_GT(emb_uniform, 0.0);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/tensor_manager.h"
 #include "framework/op_registry.h"
 
@@ -29,6 +32,16 @@ make_node(int64_t id, std::string name)
     n.name = std::move(name);
     n.kind = et::NodeKind::kOperator;
     return n;
+}
+
+/// The tensor bound to recorded id @p uid (which the layout must know).
+const fw::Tensor&
+bound(const TensorManager& tm, int64_t uid)
+{
+    const int32_t slot = tm.layout().slot_of(uid);
+    if (slot < 0)
+        throw std::out_of_range("tensor " + std::to_string(uid) + " has no slot");
+    return tm.get(slot);
 }
 
 fw::Session&
@@ -68,10 +81,10 @@ TEST(TensorManager, ExternalsInstantiatedBeforeExecution)
     TensorManager tm(session(), {});
     tm.analyze({&n0});
     tm.instantiate_externals();
-    const fw::Tensor t = tm.resolve(meta(1, {2, 3}));
+    const fw::Tensor t = bound(tm, 1);
     EXPECT_EQ(t.shape(), (fw::Shape{2, 3}));
     // Intermediates are not pre-instantiated.
-    EXPECT_THROW(tm.resolve(meta(2, {2, 3})), ReplayError);
+    EXPECT_THROW(bound(tm, 2), ReplayError);
 }
 
 TEST(TensorManager, BindOutputMakesIntermediateResolvable)
@@ -83,8 +96,8 @@ TEST(TensorManager, BindOutputMakesIntermediateResolvable)
     tm.analyze({&n0});
     tm.instantiate_externals();
     fw::Tensor produced = session().alloc({4});
-    tm.bind_output(meta(2, {4}), produced);
-    EXPECT_EQ(tm.resolve(meta(2, {4})).impl(), produced.impl());
+    tm.set(tm.layout().slot_of(2), produced);
+    EXPECT_EQ(bound(tm, 2).impl(), produced.impl());
 }
 
 TEST(TensorManager, EmbeddingIndicesBoundedByTableRows)
@@ -101,12 +114,12 @@ TEST(TensorManager, EmbeddingIndicesBoundedByTableRows)
     TensorManager tm(session(), {});
     tm.analyze({&n});
     tm.instantiate_externals();
-    const fw::Tensor idx = tm.resolve(meta(2, {64}, "int64"));
+    const fw::Tensor idx = bound(tm, 2);
     for (int64_t i = 0; i < idx.numel(); ++i) {
         EXPECT_GE(idx.i64()[i], 0);
         EXPECT_LT(idx.i64()[i], 100);
     }
-    const fw::Tensor off = tm.resolve(meta(3, {16}, "int64"));
+    const fw::Tensor off = bound(tm, 3);
     EXPECT_EQ(off.i64()[0], 0);
     for (int64_t i = 1; i < off.numel(); ++i)
         EXPECT_GE(off.i64()[i], off.i64()[i - 1]);
@@ -132,7 +145,7 @@ TEST(TensorManager, PolicyPropagatesThroughDeviceCopies)
     TensorManager tm(session(), {});
     tm.analyze({&copy, &emb});
     tm.instantiate_externals();
-    const fw::Tensor host_idx = tm.resolve(meta(2, {64}, "int64"));
+    const fw::Tensor host_idx = bound(tm, 2);
     for (int64_t i = 0; i < host_idx.numel(); ++i)
         EXPECT_LT(host_idx.i64()[i], 50) << "policy did not propagate to host tensor";
 }
@@ -146,7 +159,7 @@ TEST(TensorManager, NllTargetsBoundedByClasses)
     TensorManager tm(session(), {});
     tm.analyze({&n});
     tm.instantiate_externals();
-    const fw::Tensor target = tm.resolve(meta(2, {8}, "int64"));
+    const fw::Tensor target = bound(tm, 2);
     for (int64_t i = 0; i < 8; ++i) {
         EXPECT_GE(target.i64()[i], 0);
         EXPECT_LT(target.i64()[i], 10);
@@ -180,16 +193,118 @@ TEST(TensorManager, ZipfConfigSkewsIndices)
             head += idx.i64()[i] < 100 ? 1 : 0;
         return static_cast<double>(head) / static_cast<double>(idx.numel());
     };
-    const double zipf_head = head_mass(tm_z.resolve(meta(2, {20000}, "int64")));
-    const double uni_head = head_mass(tm_u.resolve(meta(2, {20000}, "int64")));
+    const double zipf_head = head_mass(bound(tm_z, 2));
+    const double uni_head = head_mass(bound(tm_u, 2));
     EXPECT_GT(zipf_head, uni_head * 5.0);
 }
 
-TEST(TensorManager, UnknownTensorThrows)
+/// A small numeric plan with one external per generation policy, consumed
+/// in descending-uid order so a change to the external generation order
+/// shows up in the values: embedding_bag(weight 9, indices 7, offsets 5),
+/// nll_loss(scores 4, targets 3), add(generic int64 2, generic int64 1).
+struct PinnedPlan {
+    et::Node emb = make_node(0, "aten::embedding_bag");
+    et::Node nll = make_node(1, "aten::nll_loss");
+    et::Node add = make_node(2, "aten::add.Tensor");
+
+    PinnedPlan()
+    {
+        emb.inputs.push_back(et::Argument::from_tensor(meta(9, {20, 4})));
+        emb.inputs.push_back(et::Argument::from_tensor(meta(7, {12}, "int64")));
+        emb.inputs.push_back(et::Argument::from_tensor(meta(5, {3}, "int64")));
+        emb.inputs.push_back(et::Argument::from_int(0));
+        emb.outputs.push_back(et::Argument::from_tensor(meta(10, {3, 4})));
+        nll.inputs.push_back(et::Argument::from_tensor(meta(4, {6, 5})));
+        nll.inputs.push_back(et::Argument::from_tensor(meta(3, {6}, "int64")));
+        nll.outputs.push_back(et::Argument::from_tensor(meta(11, {1})));
+        add.inputs.push_back(et::Argument::from_tensor(meta(2, {4}, "int64")));
+        add.inputs.push_back(et::Argument::from_tensor(meta(1, {4}, "int64")));
+        add.outputs.push_back(et::Argument::from_tensor(meta(12, {4}, "int64")));
+    }
+    std::vector<const et::Node*> nodes() const { return {&emb, &nll, &add}; }
+};
+
+fw::SessionOptions
+numeric_opts()
+{
+    fw::SessionOptions o;
+    o.mode = fw::ExecMode::kNumeric;
+    o.seed = 1234;
+    return o;
+}
+
+TEST(TensorManager, ExternalsGeneratedInAscendingUidOrder)
+{
+    // The externals draw from the session RNG, so their generation order is
+    // part of the replay's identity: uid 1 (generic int64) must be drawn
+    // first and uid 2 second, although the plan consumes uid 2 first.
+    const PinnedPlan plan;
+    fw::Session sess(numeric_opts());
+    TensorManager tm(sess, {});
+    tm.analyze(plan.nodes());
+    tm.instantiate_externals();
+
+    fw::Session ref(numeric_opts());
+    for (const int64_t uid : {1, 2}) {
+        const fw::Tensor t = bound(tm, uid);
+        for (int64_t i = 0; i < 4; ++i)
+            EXPECT_EQ(t.i64()[i], ref.rng().uniform_int(0, 9)) << "uid " << uid;
+    }
+}
+
+TEST(TensorManager, DigestPinnedForFixedSeed)
+{
+    // Recorded with the map-based TensorManager; the slot layout must mix
+    // the same bindings, in the same (uid) order, into the same value.
+    const PinnedPlan plan;
+    fw::Session sess(numeric_opts());
+    TensorManager tm(sess, {});
+    tm.analyze(plan.nodes());
+    tm.instantiate_externals();
+    fw::Tensor out = sess.alloc({4}, fw::DType::kInt64, /*force_materialize=*/true);
+    for (int64_t i = 0; i < 4; ++i)
+        out.i64()[i] = 100 + i;
+    tm.set(tm.layout().slot_of(12), out);
+    EXPECT_EQ(tm.digest(), 7546499132297743226ULL);
+}
+
+TEST(TensorManager, SparseTensorIdsGetDenseAscendingSlots)
+{
+    // Ids far apart (foreign traces, hand-built plans) still get dense,
+    // ascending slots.
+    const int64_t big = int64_t{1} << 40;
+    et::Node n0 = make_node(0, "aten::relu");
+    n0.inputs.push_back(et::Argument::from_tensor(meta(big, {4})));
+    n0.outputs.push_back(et::Argument::from_tensor(meta(7, {4})));
+    et::Node n1 = make_node(1, "aten::relu");
+    n1.inputs.push_back(et::Argument::from_tensor(meta(7, {4})));
+    n1.outputs.push_back(et::Argument::from_tensor(meta(-3, {4})));
+
+    const TensorLayout layout = TensorLayout::derive({&n0, nullptr, &n1});
+    EXPECT_EQ(layout.uids, (std::vector<int64_t>{-3, 7, big}));
+    EXPECT_EQ(layout.slot_of(big), 2);
+    EXPECT_EQ(layout.slot_of(8), -1);
+    ASSERT_EQ(layout.externals.size(), 1u);
+    EXPECT_EQ(layout.externals[0].slot, 2);
+    EXPECT_EQ(layout.num_intermediate, 2u);
+    // The null entry (an op that does not execute) keeps its index, empty.
+    EXPECT_TRUE(layout.op(1).inputs.empty());
+    EXPECT_TRUE(layout.op(1).outputs.empty());
+    ASSERT_EQ(layout.op(2).inputs.size(), 1u);
+    EXPECT_EQ(layout.op(2).inputs[0], 1);
+    EXPECT_EQ(layout.op(2).outputs[0], 0);
+
+    TensorManager tm(session(), {}, layout);
+    tm.instantiate_externals();
+    EXPECT_EQ(bound(tm, big).shape(), (fw::Shape{4}));
+    EXPECT_THROW(tm.get(1), ReplayError); // intermediate, not produced yet
+}
+
+TEST(TensorManager, UnknownTensorHasNoSlot)
 {
     TensorManager tm(session(), {});
     tm.analyze({});
-    EXPECT_THROW(tm.resolve(meta(99, {1})), ReplayError);
+    EXPECT_EQ(tm.layout().slot_of(99), -1);
 }
 
 } // namespace

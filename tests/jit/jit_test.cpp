@@ -229,6 +229,71 @@ TEST(Ir, WrongArityThrows)
     EXPECT_THROW(fn.run(sess, {}), ReplayError);
 }
 
+TEST(Ir, UndefinedValueThrowsAtCompile)
+{
+    const Graph undefined_input = parse_ir("graph(%x : Tensor):\n"
+                                           "  %1 : Tensor = aten::relu(%y)\n"
+                                           "  return (%1)\n");
+    EXPECT_THROW(Function("f", undefined_input), ReplayError);
+    const Graph undefined_return = parse_ir("graph(%x : Tensor):\n"
+                                            "  %1 : Tensor = aten::relu(%x)\n"
+                                            "  return (%2)\n");
+    EXPECT_THROW(Function("f", undefined_return), ReplayError);
+    // Defined later is still undefined at the point of use.
+    const Graph use_before_def = parse_ir("graph(%x : Tensor):\n"
+                                          "  %1 : Tensor = aten::relu(%2)\n"
+                                          "  %2 : Tensor = aten::relu(%x)\n"
+                                          "  return (%1)\n");
+    EXPECT_THROW(Function("f", use_before_def), ReplayError);
+}
+
+TEST(Ir, RepeatedRunsSeeUnchangedConstants)
+{
+    // Constants compile to IValues once; a run copies them into each call and
+    // must never move them out, or the next run would see None.
+    fw::SessionOptions opts;
+    opts.mode = fw::ExecMode::kNumeric;
+    fw::Session sess(opts);
+    const Function fn("add_then_reshape",
+                      parse_ir("graph(%a : Tensor,\n"
+                               "      %b : Tensor):\n"
+                               "  %2 : int = prim::Constant[value=3]()\n"
+                               "  %3 : Tensor = aten::add.Tensor(%a, %b, %2)\n"
+                               "  %4 : int[] = prim::Constant[value=[2, 2]]()\n"
+                               "  %5 : Tensor = aten::reshape(%3, %4)\n"
+                               "  return (%5, %3)\n"));
+    fw::Tensor a = sess.alloc({4});
+    fw::Tensor b = sess.alloc({4});
+    for (int i = 0; i < 4; ++i) {
+        a.f32()[i] = static_cast<float>(i);
+        b.f32()[i] = 1.0f;
+    }
+    for (int run = 0; run < 3; ++run) {
+        auto outs = fn.run(sess, {fw::IValue(a), fw::IValue(b)});
+        ASSERT_EQ(outs.size(), 2u) << "run " << run;
+        EXPECT_EQ(outs[0].tensor().shape(), (fw::Shape{2, 2})) << "run " << run;
+        EXPECT_FLOAT_EQ(outs[1].tensor().f32()[2], 5.0f) << "run " << run; // 2 + 3*1
+    }
+}
+
+TEST(Ir, ValueReadTwicePassesToBothUses)
+{
+    // %x feeds both operands: the first read copies, only the last may move.
+    fw::SessionOptions opts;
+    opts.mode = fw::ExecMode::kNumeric;
+    fw::Session sess(opts);
+    const Function fn("square", parse_ir("graph(%x : Tensor):\n"
+                                         "  %1 : Tensor = aten::mul.Tensor(%x, %x)\n"
+                                         "  return (%1)\n"));
+    fw::Tensor x = sess.alloc({2});
+    x.f32()[0] = 3.0f;
+    x.f32()[1] = -2.0f;
+    auto outs = fn.run(sess, {fw::IValue(x)});
+    ASSERT_EQ(outs.size(), 1u);
+    EXPECT_FLOAT_EQ(outs[0].tensor().f32()[0], 9.0f);
+    EXPECT_FLOAT_EQ(outs[0].tensor().f32()[1], 4.0f);
+}
+
 TEST(CompilationUnit, FindByName)
 {
     CompilationUnit cu;
