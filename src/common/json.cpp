@@ -2,14 +2,40 @@
 
 #include "common/fs_util.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 namespace mystique {
+
+void
+Json::construct_from(const Json& other)
+{
+    type_ = other.type_;
+    switch (type_) {
+      case Type::kNull: break;
+      case Type::kBool: bool_ = other.bool_; break;
+      case Type::kInt: int_ = other.int_; break;
+      case Type::kDouble: dbl_ = other.dbl_; break;
+      case Type::kString: new (&str_) std::string(other.str_); break;
+      case Type::kArray: new (&arr_) Array(other.arr_); break;
+      case Type::kObject: new (&obj_) Object(other.obj_); break;
+    }
+}
+
+void
+Json::destroy_owned() noexcept
+{
+    switch (type_) {
+      case Type::kString: str_.~basic_string(); break;
+      case Type::kArray: arr_.~Array(); break;
+      case Type::kObject: obj_.~Object(); break;
+      default: break;
+    }
+}
 
 bool
 Json::as_bool() const
@@ -211,7 +237,7 @@ Json::dump_to(std::string& out, int indent, int depth) const
             out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(d), ' ');
         }
     };
-    switch (type_) {
+    switch (type()) {
       case Type::kNull:
         out += "null";
         break;
@@ -228,29 +254,31 @@ Json::dump_to(std::string& out, int indent, int depth) const
         escape_string(str_, out);
         break;
       case Type::kArray: {
+        const Array& arr = arr_;
         out += '[';
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
+        for (std::size_t i = 0; i < arr.size(); ++i) {
             if (i > 0)
-                out += pretty ? "," : ",";
+                out += ",";
             newline(depth + 1);
-            arr_[i].dump_to(out, indent, depth + 1);
+            arr[i].dump_to(out, indent, depth + 1);
         }
-        if (!arr_.empty())
+        if (!arr.empty())
             newline(depth);
         out += ']';
         break;
       }
       case Type::kObject: {
+        const Object& obj = obj_;
         out += '{';
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
+        for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i > 0)
                 out += ",";
             newline(depth + 1);
-            escape_string(obj_[i].first, out);
+            escape_string(obj[i].first, out);
             out += pretty ? ": " : ":";
-            obj_[i].second.dump_to(out, indent, depth + 1);
+            obj[i].second.dump_to(out, indent, depth + 1);
         }
-        if (!obj_.empty())
+        if (!obj.empty())
             newline(depth);
         out += '}';
         break;
@@ -379,9 +407,9 @@ class Parser {
         Parser& parser;
     };
 
-    // Members collect in a local container (one move into the Json at the
-    // end) — going through Json::as_object()/as_array() per element costs a
-    // type check and an extra indirection on the hottest parser loop.
+    // Objects collect members in a local container (one move into the Json
+    // at the end) — going through Json::as_object() per member costs a type
+    // check and an extra indirection on the hottest parser loop.
 
     Json parse_object()
     {
@@ -393,7 +421,7 @@ class Parser {
             ++pos_;
             return Json(std::move(members));
         }
-        members.reserve(6); // typical trace/plan object width; skips 3 regrowths
+        members.reserve(4); // typical trace/plan object width; skips 2 regrowths
         while (true) {
             skip_ws();
             std::string key = parse_string();
@@ -410,26 +438,35 @@ class Parser {
         }
     }
 
+    // Arrays collect their elements on the parser's scratch stack (every
+    // nesting level above its own mark) and move them into an exactly-sized
+    // array at the end: one allocation per array and no slack, instead of a
+    // regrowth series that moves every element again at each doubling.
     Json parse_array()
     {
         const DepthScope depth(*this);
         expect('[');
-        Json::Array elements;
         skip_ws();
         if (peek() == ']') {
             ++pos_;
-            return Json(std::move(elements));
+            return Json(Json::Array{});
         }
+        const std::size_t mark = stack_.size();
         while (true) {
             skip_ws();
-            elements.push_back(parse_value());
+            Json value = parse_value();
+            stack_.push_back(std::move(value));
             skip_ws();
             char c = next();
             if (c == ']')
-                return Json(std::move(elements));
+                break;
             if (c != ',')
                 fail("expected ',' or ']' in array");
         }
+        const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(mark);
+        Json::Array elements(std::make_move_iterator(first), std::make_move_iterator(stack_.end()));
+        stack_.erase(first, stack_.end());
+        return Json(std::move(elements));
     }
 
     std::string parse_string()
@@ -437,11 +474,24 @@ class Parser {
         if (peek() != '"')
             fail("expected string");
         ++pos_;
+        // Fast path: most strings (every key, most values) contain no
+        // escapes — one scan to the closing quote, one construction.
+        const std::size_t close = text_.find('"', pos_);
+        if (close != std::string_view::npos &&
+            text_.substr(pos_, close - pos_).find('\\') == std::string_view::npos) {
+            std::string out(text_.substr(pos_, close - pos_));
+            pos_ = close + 1;
+            return out;
+        }
         std::string out;
-        // Bulk path: most strings contain no escapes, so scan to the next
-        // quote/backslash and append the whole span at once instead of
-        // byte-at-a-time — string-heavy documents (traces, plans with IR
-        // text) parse several times faster this way.
+        // The text up to the first quote is a lower bound on the decoded
+        // length unless an escaped quote comes first (IR texts: every line
+        // ends in an escaped newline), so the common case never regrows.
+        if (close != std::string_view::npos)
+            out.reserve(close - pos_);
+        // Bulk path: scan to the next quote/backslash and append the whole
+        // span at once instead of byte-at-a-time — string-heavy documents
+        // (traces, plans with IR text) parse several times faster this way.
         while (true) {
             const std::size_t span_start = pos_;
             while (pos_ < text_.size()) {
@@ -525,17 +575,36 @@ class Parser {
         }
     }
 
+    static bool is_number_char(char c)
+    {
+        return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+               c == '-';
+    }
+
     Json parse_number()
     {
-        std::size_t start = pos_;
-        if (peek() == '-')
+        const std::size_t start = pos_;
+        const bool negative = peek() == '-';
+        if (negative)
             ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-                text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-')) {
+        // Fast path, one pass: a plain integer short enough that it cannot
+        // overflow (the bulk of trace and plan numbers — ids, shapes,
+        // indices).
+        uint64_t magnitude = 0;
+        std::size_t digits = 0;
+        while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9' &&
+               digits < 18) {
+            magnitude = magnitude * 10 + static_cast<uint64_t>(text_[pos_] - '0');
             ++pos_;
+            ++digits;
         }
+        if (digits > 0 && (pos_ == text_.size() || !is_number_char(text_[pos_]))) {
+            const auto v = static_cast<int64_t>(magnitude);
+            return Json(negative ? -v : v);
+        }
+        // General path: fractions, exponents, long integers, junk.
+        while (pos_ < text_.size() && is_number_char(text_[pos_]))
+            ++pos_;
         std::string_view tok = text_.substr(start, pos_ - start);
         if (tok.empty() || tok == "-")
             fail("invalid number");
@@ -559,6 +628,7 @@ class Parser {
     std::string_view text_;
     std::size_t pos_ = 0;
     int depth_ = 0; ///< current container nesting; capped at kMaxDepth
+    std::vector<Json> stack_; ///< parse_array's scratch, shared by all levels
 };
 
 } // namespace
@@ -591,9 +661,7 @@ Json::operator==(const Json& other) const
 {
     if (type_ != other.type_) {
         // int/double comparisons compare numerically
-        if (is_number() && other.is_number())
-            return as_double() == other.as_double();
-        return false;
+        return is_number() && other.is_number() && as_double() == other.as_double();
     }
     switch (type_) {
       case Type::kNull: return true;

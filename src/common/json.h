@@ -12,10 +12,15 @@
 ///    exactly (ET node and tensor IDs are integers).
 ///  - Object member order is preserved (insertion order), which keeps
 ///    serialized traces diffable.
+///  - The payload is a tagged union, so a node is as large as its largest
+///    alternative plus the tag (pinned by a static_assert below), and a
+///    move is an inline switch: parsing a plan or trace builds, moves and
+///    frees thousands of nodes.
 
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -36,7 +41,7 @@ class Json {
     using Object = std::vector<std::pair<std::string, Json>>;
 
     /// Constructs null.
-    Json() = default;
+    Json() : int_(0) {}
     Json(std::nullptr_t) : Json() {}
     Json(bool b) : type_(Type::kBool), bool_(b) {}
     Json(int v) : type_(Type::kInt), int_(v) {}
@@ -48,21 +53,40 @@ class Json {
     Json(Array a) : type_(Type::kArray), arr_(std::move(a)) {}
     Json(Object o) : type_(Type::kObject), obj_(std::move(o)) {}
 
+    Json(const Json& other) { construct_from(other); }
+    Json(Json&& other) noexcept { construct_from(std::move(other)); }
+    Json& operator=(const Json& other)
+    {
+        // Through a temporary: @p other may live inside this node.
+        Json copy(other);
+        return *this = std::move(copy);
+    }
+    Json& operator=(Json&& other) noexcept
+    {
+        if (this != &other) {
+            Json moved(std::move(other)); // @p other may live inside this node
+            destroy();
+            construct_from(std::move(moved));
+        }
+        return *this;
+    }
+    ~Json() { destroy(); }
+
     /// Creates an empty array.
     static Json array() { return Json(Array{}); }
     /// Creates an empty object.
     static Json object() { return Json(Object{}); }
 
     Type type() const { return type_; }
-    bool is_null() const { return type_ == Type::kNull; }
-    bool is_bool() const { return type_ == Type::kBool; }
-    bool is_int() const { return type_ == Type::kInt; }
-    bool is_double() const { return type_ == Type::kDouble; }
+    bool is_null() const { return type() == Type::kNull; }
+    bool is_bool() const { return type() == Type::kBool; }
+    bool is_int() const { return type() == Type::kInt; }
+    bool is_double() const { return type() == Type::kDouble; }
     /// True for either numeric representation.
     bool is_number() const { return is_int() || is_double(); }
-    bool is_string() const { return type_ == Type::kString; }
-    bool is_array() const { return type_ == Type::kArray; }
-    bool is_object() const { return type_ == Type::kObject; }
+    bool is_string() const { return type() == Type::kString; }
+    bool is_array() const { return type() == Type::kArray; }
+    bool is_object() const { return type() == Type::kObject; }
 
     /// Typed accessors; throw ParseError when the type does not match.
     bool as_bool() const;
@@ -111,13 +135,41 @@ class Json {
   private:
     void dump_to(std::string& out, int indent, int depth) const;
 
+    void construct_from(const Json& other);
+    /// Inline: parsing moves every node at least once.
+    void construct_from(Json&& other) noexcept
+    {
+        type_ = other.type_;
+        switch (type_) {
+          case Type::kNull: break;
+          case Type::kBool: bool_ = other.bool_; break;
+          case Type::kInt: int_ = other.int_; break;
+          case Type::kDouble: dbl_ = other.dbl_; break;
+          case Type::kString: new (&str_) std::string(std::move(other.str_)); break;
+          case Type::kArray: new (&arr_) Array(std::move(other.arr_)); break;
+          case Type::kObject: new (&obj_) Object(std::move(other.obj_)); break;
+        }
+    }
+    /// Ends the payload's lifetime; only strings and containers own memory.
+    void destroy() noexcept
+    {
+        if (type_ >= Type::kString)
+            destroy_owned();
+        type_ = Type::kNull;
+    }
+    void destroy_owned() noexcept;
+
     Type type_ = Type::kNull;
-    bool bool_ = false;
-    int64_t int_ = 0;
-    double dbl_ = 0.0;
-    std::string str_;
-    Array arr_;
-    Object obj_;
+    union {
+        bool bool_;
+        int64_t int_;
+        double dbl_;
+        std::string str_;
+        Array arr_;
+        Object obj_;
+    };
 };
+
+static_assert(sizeof(Json) <= 48, "documents hold thousands of Json nodes; keep them compact");
 
 } // namespace mystique

@@ -112,7 +112,10 @@ format_us(double microseconds)
 std::string
 hex64(uint64_t value)
 {
-    return strprintf("%016llx", static_cast<unsigned long long>(value));
+    std::string out(16, '0');
+    for (std::size_t i = out.size(); i-- > 0; value >>= 4)
+        out[i] = "0123456789abcdef"[value & 0xf];
+    return out;
 }
 
 } // namespace mystique

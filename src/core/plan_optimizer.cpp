@@ -118,34 +118,21 @@ output_tensor_id(const ReconstructedOp& op)
     return op.node->outputs[0].tensors[0].tensor_id;
 }
 
-inline int
-count_of(const ConsumerCounts& counts, int64_t tensor_id)
-{
-    const auto it = counts.find(tensor_id);
-    return it == counts.end() ? 0 : it->second;
-}
-
 } // namespace
 
-/// Counts how many times each tensor id appears as an input of a
-/// non-skipped op (every slot, tensor lists included).
-ConsumerCounts
-consumer_counts(const std::vector<ReconstructedOp>& ops)
+TensorLayout
+derive_op_layout(const std::vector<ReconstructedOp>& ops)
 {
-    ConsumerCounts counts;
-    for (const auto& op : ops) {
-        if (op.kind == ReconstructedOp::Kind::kSkipped || op.node == nullptr)
-            continue;
-        for (const auto& arg : op.node->inputs)
-            for (const auto& t : arg.tensors)
-                ++counts[t.tensor_id];
-    }
-    return counts;
+    std::vector<const et::Node*> nodes;
+    nodes.reserve(ops.size());
+    for (const ReconstructedOp& op : ops)
+        nodes.push_back(op.kind == ReconstructedOp::Kind::kSkipped ? nullptr : op.node);
+    return TensorLayout::derive(nodes);
 }
 
 void
 finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
-               const ConsumerCounts* counts)
+               const TensorLayout& layout)
 {
     // Restored plans re-enter here with only members/dead set, so every
     // structural failure throws ParseError: a corrupt or stale document must
@@ -162,11 +149,6 @@ finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
     if (group.dead && group.members.size() != 1)
         MYST_THROW(ParseError, "dead group must have exactly one member");
 
-    ConsumerCounts local;
-    if (counts == nullptr) {
-        local = consumer_counts(ops);
-        counts = &local;
-    }
     const ReconstructedOp& first = ops[static_cast<std::size_t>(group.members.front())];
     const fw::FusedKernelInfo* first_info = fusable_info(first);
     if (first_info == nullptr)
@@ -198,7 +180,7 @@ finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
             if (node.inputs[0].tensors[0].tensor_id != link)
                 MYST_THROW(ParseError, "fused chain broken: slot-0 input is not the "
                                        "previous member's output");
-            if (count_of(*counts, link) != 1)
+            if (layout.consumers_of(link) != 1)
                 MYST_THROW(ParseError,
                            "fused chain intermediate has multiple consumers");
         }
@@ -254,7 +236,7 @@ finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
 
     const ReconstructedOp& last = ops[static_cast<std::size_t>(group.members.back())];
     group.output_meta = last.node->outputs[0].tensors[0];
-    const int out_consumers = count_of(*counts, group.output_meta.tensor_id);
+    const int out_consumers = layout.consumers_of(group.output_meta.tensor_id);
     if (group.dead) {
         if (out_consumers != 0)
             MYST_THROW(ParseError, "dead group output has consumers");
@@ -282,13 +264,18 @@ derive_optimizer_stats(const std::vector<FusedGroup>& groups)
 }
 
 OptimizerStats
-optimize_plan(std::vector<ReconstructedOp>& ops, std::vector<FusedGroup>& groups)
+optimize_plan(std::vector<ReconstructedOp>& ops, std::vector<FusedGroup>& groups,
+              const TensorLayout* layout)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto counts = consumer_counts(ops);
+    TensorLayout local;
+    if (layout == nullptr) {
+        local = derive_op_layout(ops);
+        layout = &local;
+    }
 
     auto adopt = [&](FusedGroup g) {
-        finalize_group(ops, g, &counts);
+        finalize_group(ops, g, *layout);
         const int gid = static_cast<int>(groups.size());
         for (const int m : g.members)
             ops[static_cast<std::size_t>(m)].fused_group = gid;
@@ -302,7 +289,7 @@ optimize_plan(std::vector<ReconstructedOp>& ops, std::vector<FusedGroup>& groups
     for (std::size_t i = 0; i < ops.size(); ++i) {
         if (ops[i].fused_group >= 0 || fusable_info(ops[i]) == nullptr)
             continue;
-        if (count_of(counts, output_tensor_id(ops[i])) == 0) {
+        if (layout->consumers_of(output_tensor_id(ops[i])) == 0) {
             FusedGroup g;
             g.members = {static_cast<int>(i)};
             g.dead = true;
@@ -344,7 +331,7 @@ optimize_plan(std::vector<ReconstructedOp>& ops, std::vector<FusedGroup>& groups
                 break;
             const int64_t link = output_tensor_id(ops[j]);
             if (next.node->inputs[0].tensors[0].tensor_id != link ||
-                count_of(counts, link) != 1 ||
+                layout->consumers_of(link) != 1 ||
                 next.node->inputs[0].tensors[0].numel != chain_numel ||
                 next.node->tid != ops[i].node->tid || next.stream != ops[i].stream)
                 break;

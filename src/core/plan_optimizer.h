@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/reconstruction.h"
@@ -62,10 +61,19 @@ struct FusedGroup {
     int tid = 0;                            ///< originating thread
 };
 
+/// The tensor layout of a reconstructed-op sequence: skipped ops take part
+/// as null nodes (no slots, no consumers), so op(i) indexes like @p ops.
+/// The optimizer never changes an op's kind, so the layout of the ops
+/// before optimize_plan is the layout of the ops after it.
+TensorLayout derive_op_layout(const std::vector<ReconstructedOp>& ops);
+
 /// Runs the pass pipeline over @p ops, appending discovered groups to
-/// @p groups and marking members' fused_group / fused_head fields.
+/// @p groups and marking members' fused_group / fused_head fields.  Chain
+/// legality reads consumer counts from @p layout (derive_op_layout(ops));
+/// nullptr derives it here.
 OptimizerStats optimize_plan(std::vector<ReconstructedOp>& ops,
-                             std::vector<FusedGroup>& groups);
+                             std::vector<FusedGroup>& groups,
+                             const TensorLayout* layout = nullptr);
 
 /// One schedulable unit of the async executor: a standalone non-skipped op,
 /// or a whole fused group (entered at its head member).  Skipped ops and
@@ -119,23 +127,16 @@ void validate_dep_graph(const DepGraph& graph, std::size_t n_ops);
 /// point is being much cheaper than a build).
 uint64_t dep_graph_fingerprint(const DepGraph& graph);
 
-/// Input-consumer multiplicity of every tensor id across the plan's
-/// non-skipped ops — the single-consumer legality oracle shared by the
-/// passes.  One full-plan scan; compute it once and share it across every
-/// finalize_group call for the same op sequence.
-using ConsumerCounts = std::unordered_map<int64_t, int>;
-ConsumerCounts consumer_counts(const std::vector<ReconstructedOp>& ops);
-
 /// Derives stages, metas, stream and tid for a group whose `members` and
 /// `dead` flag are already set — shared by optimize_plan and the
 /// ReplayPlan::from_json restore path (which trusts the document's member
 /// lists but re-derives everything else from the trace).  Throws ParseError
 /// when a member is not a legally fusable op, so corrupt store entries
-/// quarantine instead of replaying wrong.  Pass precomputed @p counts when
-/// finalizing many groups of one plan (from_json restores are on the
-/// disk-hit fast path); nullptr recomputes them for this group alone.
+/// quarantine instead of replaying wrong.  @p layout is
+/// derive_op_layout(ops): its per-slot consumer counts are the
+/// single-consumer legality oracle.
 void finalize_group(const std::vector<ReconstructedOp>& ops, FusedGroup& group,
-                    const ConsumerCounts* counts = nullptr);
+                    const TensorLayout& layout);
 
 /// Recomputes the derivable counters from @p groups (optimize_us = 0).
 OptimizerStats derive_optimizer_stats(const std::vector<FusedGroup>& groups);

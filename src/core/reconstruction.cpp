@@ -1,7 +1,6 @@
 #include "core/reconstruction.h"
 
 #include "common/error.h"
-#include "common/hash.h"
 #include "common/string_util.h"
 #include "jit/schema.h"
 
@@ -108,25 +107,26 @@ Reconstructor::reconstruct(const et::Node& node, bool supported)
     for (const auto& arg : node.inputs)
         constants.push_back(argument_to_constant(arg));
 
-    op.ir_text = jit::build_ir_text(schema, constants);
-    op.fn = &compile(op.ir_text, node);
+    const Compiled compiled = compile(jit::build_ir_text(schema, constants), node);
+    op.fn = compiled.fn;
+    op.ir_text = compiled.text;
     return op;
 }
 
-const jit::Function&
-Reconstructor::compile(const std::string& ir_text, const et::Node& node)
+Reconstructor::Compiled
+Reconstructor::compile(std::string_view ir_text, const et::Node& node)
 {
     auto it = by_text_.find(ir_text);
     if (it == by_text_.end()) {
         // Named after the IR, not the node: every op sharing the text runs
         // it, so run() diagnostics must not point at one particular node.
-        Fnv1a h;
-        h.mix(ir_text);
-        const std::string name = strprintf("%s_ir%016llx", node.name.c_str(),
-                                           static_cast<unsigned long long>(h.value()));
-        it = by_text_.emplace(ir_text, &cu_.create_function(name, jit::parse_ir(ir_text))).first;
+        std::string name = node.name;
+        name += "_ir";
+        name += hex64(TextHash{}(ir_text));
+        const jit::Function& fn = cu_.create_function(name, ir_text);
+        it = by_text_.emplace(std::string(ir_text), &fn).first;
     }
-    return *it->second;
+    return {it->second, it->first};
 }
 
 bool

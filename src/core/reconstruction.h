@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -40,8 +41,10 @@ struct ReconstructedOp {
     OpId op_id = kInvalidOpId;
     /// Stream the op's kernels ran on originally (from the profiler trace).
     std::optional<int> stream;
-    /// Generated IR text (kept for codegen and debugging).
-    std::string ir_text;
+    /// Generated IR text (kept for serialization and debugging): a view of
+    /// the copy the Reconstructor that compiled `fn` owns, so ops sharing
+    /// an IR share one text, and it lives exactly as long as `fn`.
+    std::string_view ir_text;
     /// Index into the plan's fused_groups(), or -1 when the op executes
     /// standalone.  Set by the plan optimizer; members keep their kind (and
     /// thus their coverage accounting) — only execution is redirected.
@@ -73,21 +76,38 @@ class Reconstructor {
         return ReconstructedOp::Kind::kCompiledIr;
     }
 
+    /// A compiled function and the text it was compiled from (both owned
+    /// by the Reconstructor).
+    struct Compiled {
+        const jit::Function* fn = nullptr;
+        std::string_view text;
+    };
+
     /// The compiled function for @p ir_text, parsing and compiling it on
     /// first sight only: ops with identical IR share one function (its
     /// execution state lives in the per-rank session, never in the
-    /// function).  Both reconstruct() and the plan-restore path
-    /// (ReplayPlan::from_json) compile through here.  Malformed text throws
-    /// ParseError.
+    /// function) and one copy of the text.  Both reconstruct() and the
+    /// plan-restore path (ReplayPlan::from_json) compile through here.
+    /// Malformed text throws ParseError.
     /// @param node  its op name prefixes the function's name
     ///        ("<op>_ir<hash of ir_text>") when it is compiled here
-    const jit::Function& compile(const std::string& ir_text, const et::Node& node);
+    Compiled compile(std::string_view ir_text, const et::Node& node);
 
     const jit::CompilationUnit& compilation_unit() const { return cu_; }
 
   private:
+    /// Hashes std::string keys and std::string_view probes alike, so a
+    /// lookup never copies the text.
+    struct TextHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
     jit::CompilationUnit cu_;
-    std::unordered_map<std::string, const jit::Function*> by_text_;
+    std::unordered_map<std::string, const jit::Function*, TextHash, std::equal_to<>> by_text_;
 };
 
 /// Executes a reconstructed op: resolves tensor arguments from their

@@ -47,18 +47,12 @@ category_from_name(const std::string& name)
     MYST_THROW(ParseError, "plan json: unknown op category '" + name + "'");
 }
 
-/// The plan's tensor layout: one pure function of the final ops and fused
-/// groups, shared by build and restore.  Skipped ops take part as null
-/// nodes, so op(i) indexes like the plan's ops.
-TensorLayout
-derive_tensor_layout(const std::vector<ReconstructedOp>& ops,
-                     const std::vector<FusedGroup>& groups)
+/// Appends the fused groups' tensor slots to @p layout (the
+/// derive_op_layout of the plan's ops) — the last step of the plan's
+/// layout, at build and restore alike.
+void
+add_group_slots(TensorLayout& layout, const std::vector<FusedGroup>& groups)
 {
-    std::vector<const et::Node*> nodes;
-    nodes.reserve(ops.size());
-    for (const ReconstructedOp& op : ops)
-        nodes.push_back(op.kind == ReconstructedOp::Kind::kSkipped ? nullptr : op.node);
-    TensorLayout layout = TensorLayout::derive(nodes);
     layout.groups.reserve(groups.size());
     // Group tensors are member arguments, so they always have slots.
     auto slot_of = [&](const et::TensorMeta& m) {
@@ -69,12 +63,12 @@ derive_tensor_layout(const std::vector<ReconstructedOp>& ops,
     for (const FusedGroup& g : groups) {
         GroupTensorSlots slots;
         slots.input = slot_of(g.input_meta);
+        slots.operands.reserve(g.operand_metas.size());
         for (const et::TensorMeta& m : g.operand_metas)
             slots.operands.push_back(slot_of(m));
         slots.output = slot_of(g.output_meta);
         layout.groups.push_back(std::move(slots));
     }
-    return layout;
 }
 
 } // namespace
@@ -407,16 +401,22 @@ ReplayPlan::build_impl(const et::ExecutionTrace* borrowed,
         plan->ops_.push_back(std::move(op));
     }
 
+    // Tensor layout of the ops (the optimizer never changes an op's kind, so
+    // it holds before and after optimizing): replays bind through it, and
+    // the optimizer's chain legality reads its consumer counts.
+    plan->tensor_layout_ = derive_op_layout(plan->ops_);
+
     // Optimizer pipeline (opt_level > 0): runs once here, so the cost is
     // paid at build time and every warm cache hit replays pre-fused.
     if (cfg.opt_level > 0)
-        plan->opt_stats_ = optimize_plan(plan->ops_, plan->fused_groups_);
+        plan->opt_stats_ =
+            optimize_plan(plan->ops_, plan->fused_groups_, &plan->tensor_layout_);
 
     // Dependency graph, at every opt level: the async executor schedules
     // from it, and deriving it here (once, amortized by the cache) keeps the
     // replay hot path free of def-use analysis.
     plan->dep_graph_ = build_dep_graph(plan->ops_, plan->fused_groups_);
-    plan->tensor_layout_ = derive_tensor_layout(plan->ops_, plan->fused_groups_);
+    add_group_slots(plan->tensor_layout_, plan->fused_groups_);
     return plan;
 }
 
@@ -502,7 +502,7 @@ ReplayPlan::to_json() const
             const auto [it, fresh] = ir_index.try_emplace(
                 op.ir_text, static_cast<int64_t>(ir_table.as_array().size()));
             if (fresh)
-                ir_table.push_back(Json(op.ir_text));
+                ir_table.push_back(Json(std::string(op.ir_text)));
             o.set("ir", Json(it->second));
         }
         ops.push_back(std::move(o));
@@ -605,11 +605,13 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
                    "from generate_benchmark packages carry full provenance");
     plan->coverage_ = coverage_from_json(j.at("coverage"));
 
-    // Restore the selection: current documents imply it from the ops array
-    // (op order is selection order; supported ⇔ kind != "skipped"); legacy
-    // documents spell it out, subtree scaffolding included.
+    // Ops and the selection they imply, in one walk: op order is selection
+    // order, and an op is supported iff its kind is not "skipped".  Legacy
+    // documents spell the selection out, subtree scaffolding included, and
+    // their ops must follow it.
     const Json::Array& ops_j = j.at("ops").as_array();
-    if (const Json* selection_j = j.find("selection")) {
+    const Json* selection_j = j.find("selection");
+    if (selection_j != nullptr) {
         for (const Json& s : selection_j->at("ops").as_array()) {
             const int64_t node_id = s.at("node_id").as_int();
             const et::Node* node = plan->trace_->find(node_id);
@@ -626,46 +628,83 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
             for (const Json& id : s.at("nodes").as_array())
                 ids.push_back(id.as_int());
         }
+        if (ops_j.size() != plan->selection_.ops.size())
+            MYST_THROW(ParseError, "plan json: ops/selection length mismatch");
     } else {
         plan->selection_.ops.reserve(ops_j.size());
-        for (const Json& o : ops_j) {
-            const int64_t node_id = o.at("node_id").as_int();
-            const et::Node* node = plan->trace_->find(node_id);
+    }
+    plan->ops_.reserve(ops_j.size());
+    // Compiled callables restore from the *recorded* IR text rather than
+    // re-deriving it from each node's schema: the document already carries
+    // the exact IR the generating process executed, so a restore skips
+    // schema parsing and IR generation for every op.  A build compiles each
+    // distinct text once too, so the compile itself is a cost both pay.
+    const Json::Array* ir_table = nullptr;
+    if (const Json* t = j.find("ir_table"))
+        ir_table = &t->as_array();
+    // One compiled function per distinct IR text (the reconstructor shares
+    // by content); ops resolved through the table skip even that lookup.
+    std::vector<Reconstructor::Compiled> compiled_by_ref(
+        ir_table != nullptr ? ir_table->size() : 0);
+    // Ops follow trace order, so each op's node is looked for just past the
+    // previous one before falling back to a binary search (whose probes
+    // each touch another large Node record).
+    const std::vector<et::Node>& nodes = plan->trace_->nodes();
+    std::size_t cursor = 0;
+    auto find_node = [&](int64_t id) -> const et::Node* {
+        for (std::size_t k = cursor; k < nodes.size() && k < cursor + 8; ++k) {
+            if (nodes[k].id == id) {
+                cursor = k + 1;
+                return &nodes[k];
+            }
+            if (nodes[k].id > id)
+                break;
+        }
+        const et::Node* node = plan->trace_->find(id);
+        if (node != nullptr)
+            cursor = static_cast<std::size_t>(node - nodes.data()) + 1;
+        return node;
+    };
+    for (std::size_t i = 0; i < ops_j.size(); ++i) {
+        // One pass over the op's members (the first of a repeated key wins,
+        // as with Json::find).
+        const Json* node_id_j = nullptr;
+        const Json* kind_j = nullptr;
+        const Json* ir_j = nullptr;
+        const Json* stream_j = nullptr;
+        for (const auto& [key, value] : ops_j[i].as_object()) {
+            const Json** field = key == "node_id" ? &node_id_j
+                                 : key == "kind"  ? &kind_j
+                                 : key == "ir"    ? &ir_j
+                                 : key == "stream" ? &stream_j
+                                                   : nullptr;
+            if (field != nullptr && *field == nullptr)
+                *field = &value;
+        }
+        if (node_id_j == nullptr)
+            MYST_THROW(ParseError, "json: missing key 'node_id'");
+        const int64_t node_id = node_id_j->as_int();
+        // "kind" is implied for the dominant case (see to_json).
+        const std::string_view recorded_kind =
+            kind_j != nullptr && kind_j->is_string() ? std::string_view(kind_j->as_string())
+                                                     : "compiled_ir";
+        const et::Node* node = nullptr;
+        if (selection_j == nullptr) {
+            node = find_node(node_id);
             if (node == nullptr)
                 MYST_THROW(ParseError, "plan json: selected node " +
                                            std::to_string(node_id) +
                                            " is not in the trace");
             plan->selection_.ops.push_back(
-                {node_id, o.get_string("kind", "compiled_ir") != "skipped",
-                 et::resolve_op_id(*node)});
+                {node_id, recorded_kind != "skipped", et::resolve_op_id(*node)});
+        } else {
+            if (node_id != plan->selection_.ops[i].node_id)
+                MYST_THROW(ParseError, "plan json: ops/selection order mismatch");
+            node = find_node(node_id);
         }
-    }
-    if (ops_j.size() != plan->selection_.ops.size())
-        MYST_THROW(ParseError, "plan json: ops/selection length mismatch");
-    plan->ops_.reserve(ops_j.size());
-    // Compiled callables restore from the *recorded* IR text rather than
-    // re-deriving it from each node's schema — the document already carries
-    // the exact IR the generating process executed, and traces repeat ops
-    // across iterations and layers, so compiling each distinct text once
-    // (ops with equal IR share one jit::Function; execution state lives in
-    // the per-rank session, never in the function) makes restore a parse
-    // instead of a full reconstruction pass.  That cost asymmetry is what
-    // the disk tier's micro_plan_disk gate is built on.
-    const Json::Array* ir_table = nullptr;
-    if (const Json* t = j.find("ir_table"))
-        ir_table = &t->as_array();
-    // One compiled function per distinct IR text (the reconstructor shares
-    // by content); ops resolved through the table skip even that hash.
-    std::vector<const jit::Function*> compiled_by_ref(
-        ir_table != nullptr ? ir_table->size() : 0, nullptr);
-    for (std::size_t i = 0; i < ops_j.size(); ++i) {
-        const Json& o = ops_j[i];
         const SelectedOp& sel = plan->selection_.ops[i];
-        if (o.at("node_id").as_int() != sel.node_id)
-            MYST_THROW(ParseError, "plan json: ops/selection order mismatch");
-        const et::Node* node = plan->trace_->find(sel.node_id);
 
-        ReconstructedOp op;
+        ReconstructedOp& op = plan->ops_.emplace_back();
         op.node = node;
         op.op_id = sel.op_id;
         // The kind this process's registry would reconstruct.  A drift vs
@@ -673,42 +712,45 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
         // matches the one the plan was generated under — replaying anyway
         // would silently execute a different benchmark.
         op.kind = Reconstructor::decide_kind(*node, sel.supported);
-        const std::string recorded_kind = o.get_string("kind", "compiled_ir");
         if (kind_name(op.kind) != recorded_kind)
             MYST_THROW(MystiqueError,
                        "plan json: node " + std::to_string(sel.node_id) + " ('" +
                            node->name + "') reconstructs as " + kind_name(op.kind) +
-                           " but the plan was generated with " + recorded_kind +
+                           " but the plan was generated with " +
+                           std::string(recorded_kind) +
                            " — op registry mismatch with the generating process");
 
         if (op.kind == ReconstructedOp::Kind::kCompiledIr) {
             // Malformed IR makes parse_ir throw ParseError → the caller
             // (plan store / package import) treats the document as corrupt.
-            auto compile = [&](const std::string& text) {
-                return &plan->reconstructor_.compile(text, *node);
-            };
-            const Json& ir_j = o.at("ir");
-            if (ir_j.is_int()) {
-                const int64_t ref = ir_j.as_int();
+            if (ir_j == nullptr)
+                MYST_THROW(ParseError, "json: missing key 'ir'");
+            Reconstructor::Compiled compiled;
+            if (ir_j->is_int()) {
+                const int64_t ref = ir_j->as_int();
                 if (ir_table == nullptr || ref < 0 ||
                     static_cast<std::size_t>(ref) >= ir_table->size())
                     MYST_THROW(ParseError, "plan json: op ir reference " +
                                                std::to_string(ref) +
                                                " is outside the ir_table");
-                op.ir_text = (*ir_table)[static_cast<std::size_t>(ref)].as_string();
-                const jit::Function*& slot = compiled_by_ref[static_cast<std::size_t>(ref)];
-                if (slot == nullptr)
-                    slot = compile(op.ir_text);
-                op.fn = slot;
+                Reconstructor::Compiled& slot = compiled_by_ref[static_cast<std::size_t>(ref)];
+                if (slot.fn == nullptr)
+                    slot = plan->reconstructor_.compile(
+                        (*ir_table)[static_cast<std::size_t>(ref)].as_string(), *node);
+                compiled = slot;
             } else {
-                op.ir_text = ir_j.as_string(); // legacy inline spelling
-                op.fn = compile(op.ir_text);
+                compiled = plan->reconstructor_.compile(ir_j->as_string(), *node); // legacy inline spelling
             }
+            op.fn = compiled.fn;
+            op.ir_text = compiled.text;
         }
-        if (const Json* stream = o.find("stream"))
-            op.stream = static_cast<int>(stream->as_int());
-        plan->ops_.push_back(std::move(op));
+        if (stream_j != nullptr)
+            op.stream = static_cast<int>(stream_j->as_int());
     }
+
+    // The tensor layout comes before the fused groups: their legality reads
+    // its consumer counts.
+    plan->tensor_layout_ = derive_op_layout(plan->ops_);
 
     // Fused groups: the document is trusted for *what* was grouped (member
     // indices + dead flag); everything executable — stages, kernel descs,
@@ -716,15 +758,15 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
     // ParseError on any member that is not legally fusable.  A tampered or
     // stale document therefore quarantines instead of replaying wrong.
     if (const Json* groups_j = j.find("fused_groups")) {
-        // One shared consumer-count scan: restores sit on the disk-hit fast
-        // path, where a per-group scan would be quadratic in plan size.
-        const ConsumerCounts counts = consumer_counts(plan->ops_);
+        plan->fused_groups_.reserve(groups_j->as_array().size());
         for (const Json& gj : groups_j->as_array()) {
             FusedGroup g;
-            for (const Json& m : gj.at("members").as_array())
+            const Json::Array& members = gj.at("members").as_array();
+            g.members.reserve(members.size());
+            for (const Json& m : members)
                 g.members.push_back(static_cast<int>(m.as_int()));
             g.dead = gj.get_bool("dead", false);
-            finalize_group(plan->ops_, g, &counts);
+            finalize_group(plan->ops_, g, plan->tensor_layout_);
             const int gid = static_cast<int>(plan->fused_groups_.size());
             for (const int m : g.members) {
                 ReconstructedOp& op = plan->ops_[static_cast<std::size_t>(m)];
@@ -765,7 +807,9 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
             const int64_t flags = flags_col[ui].as_int();
             u.comm = (flags & 1) != 0;
             u.barrier = (flags & 2) != 0;
-            for (const Json& d : deps_col[ui].as_array())
+            const Json::Array& deps = deps_col[ui].as_array();
+            u.deps.reserve(deps.size());
+            for (const Json& d : deps)
                 u.deps.push_back(static_cast<int>(d.as_int()));
             recorded.units.push_back(std::move(u));
         }
@@ -778,7 +822,7 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
     } else {
         plan->dep_graph_ = build_dep_graph(plan->ops_, plan->fused_groups_);
     }
-    plan->tensor_layout_ = derive_tensor_layout(plan->ops_, plan->fused_groups_);
+    add_group_slots(plan->tensor_layout_, plan->fused_groups_);
     return plan;
 }
 

@@ -244,8 +244,9 @@ class ReplayPlan {
     /// Shared-ownership spelling: the restored plan *shares* @p trace
     /// instead of deep-copying it.  This is the disk-hit fast path — a
     /// store load re-uses the trace the cache caller already holds, so a
-    /// restore costs one parse + one IR compile per distinct text and zero
-    /// trace copies (the copy used to be the single largest line item).
+    /// restore makes zero trace copies, compiles each distinct IR text
+    /// once, and skips selection, coverage, schema parsing, IR generation,
+    /// fusion discovery and dep-graph derivation.
     static std::shared_ptr<const ReplayPlan>
     from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> trace);
 

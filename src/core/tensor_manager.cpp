@@ -1,6 +1,7 @@
 #include "core/tensor_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "common/hash.h"
@@ -22,69 +23,104 @@ weight_rows(const et::Node& node)
     return shape.empty() ? 0 : shape[0];
 }
 
-template <typename Fn>
-void
-for_each_tensor(const std::vector<et::Argument>& args, Fn&& fn)
-{
-    for (const auto& arg : args)
-        for (const auto& t : arg.tensors)
-            fn(t);
-}
-
 } // namespace
 
 TensorLayout
 TensorLayout::derive(const std::vector<const et::Node*>& nodes)
 {
     TensorLayout layout;
-    auto for_each_node_tensor = [&](auto&& fn) {
-        for (const et::Node* node : nodes) {
-            if (node != nullptr) {
-                for_each_tensor(node->inputs, fn);
-                for_each_tensor(node->outputs, fn);
+
+    // One walk gathers every tensor reference in slot-list order (per node:
+    // inputs, then outputs, each over the tensor and tensor-list arguments
+    // in argument order).
+    std::vector<const et::TensorMeta*> refs;
+    refs.reserve(4 * nodes.size()); // a typical op's inputs and outputs
+    layout.ops_.reserve(nodes.size());
+    for (const et::Node* node : nodes) {
+        OpRange r;
+        r.in = static_cast<uint32_t>(refs.size());
+        if (node != nullptr)
+            for (const et::Argument& arg : node->inputs)
+                for (const et::TensorMeta& m : arg.tensors)
+                    refs.push_back(&m);
+        r.n_in = static_cast<uint32_t>(refs.size()) - r.in;
+        r.out = static_cast<uint32_t>(refs.size());
+        if (node != nullptr)
+            for (const et::Argument& arg : node->outputs)
+                for (const et::TensorMeta& m : arg.tensors)
+                    refs.push_back(&m);
+        r.n_out = static_cast<uint32_t>(refs.size()) - r.out;
+        layout.ops_.push_back(r);
+    }
+
+    // Dense slots in ascending uid order.  Recorded ids are mostly compact
+    // (a session numbers its tensors consecutively), so when their span is
+    // within a small multiple of the reference count, a table indexed by
+    // uid numbers them in one linear pass; sparse ids (foreign or hand-built
+    // traces) sort the references by uid instead.
+    layout.slots_.resize(refs.size());
+    layout.uids.reserve(refs.size());
+    int64_t lo = 0;
+    int64_t hi = -1;
+    if (!refs.empty()) {
+        lo = hi = refs[0]->tensor_id;
+        for (const et::TensorMeta* m : refs) {
+            lo = std::min(lo, m->tensor_id);
+            hi = std::max(hi, m->tensor_id);
+        }
+    }
+    const uint64_t width = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (refs.empty()) {
+        // no tensors, no slots
+    } else if (width < 4 * static_cast<uint64_t>(refs.size()) + 64) {
+        const std::size_t span = static_cast<std::size_t>(width) + 1;
+        std::vector<int32_t> slot_by_uid(span, -1);
+        for (const et::TensorMeta* m : refs)
+            slot_by_uid[static_cast<std::size_t>(m->tensor_id - lo)] = 0;
+        for (std::size_t u = 0; u < span; ++u) {
+            if (slot_by_uid[u] == 0) {
+                slot_by_uid[u] = static_cast<int32_t>(layout.uids.size());
+                layout.uids.push_back(lo + static_cast<int64_t>(u));
             }
         }
-    };
-
-    // Dense slots in ascending uid order.
-    for_each_node_tensor([&](const et::TensorMeta& m) { layout.uids.push_back(m.tensor_id); });
-    std::sort(layout.uids.begin(), layout.uids.end());
-    layout.uids.erase(std::unique(layout.uids.begin(), layout.uids.end()), layout.uids.end());
+        for (std::size_t k = 0; k < refs.size(); ++k)
+            layout.slots_[k] = slot_by_uid[static_cast<std::size_t>(refs[k]->tensor_id - lo)];
+    } else {
+        std::vector<std::pair<int64_t, uint32_t>> by_uid(refs.size());
+        for (std::size_t k = 0; k < refs.size(); ++k)
+            by_uid[k] = {refs[k]->tensor_id, static_cast<uint32_t>(k)};
+        std::sort(by_uid.begin(), by_uid.end());
+        for (const auto& [uid, k] : by_uid) {
+            if (layout.uids.empty() || layout.uids.back() != uid)
+                layout.uids.push_back(uid);
+            layout.slots_[k] = static_cast<int32_t>(layout.uids.size() - 1);
+        }
+    }
     const std::size_t n = layout.uids.size();
 
-    // Slot lists, and pass 1: classify by first appearance, walking
-    // execution order (§4.4).
+    // Pass 1: classify by first appearance, walking execution order (§4.4),
+    // and count each tensor's consumers.
     enum : uint8_t { kUnseen, kExternal, kIntermediate };
     std::vector<uint8_t> cls(n, kUnseen);
     std::vector<const et::TensorMeta*> first_meta(n, nullptr);
     std::vector<const et::Node*> producer(n, nullptr); // last producer
-    layout.ops_.reserve(nodes.size());
-    for (const et::Node* node : nodes) {
-        OpRange r;
-        r.in = static_cast<uint32_t>(layout.slots_.size());
-        if (node != nullptr) {
-            for_each_tensor(node->inputs, [&](const et::TensorMeta& m) {
-                const int32_t slot = layout.slot_of(m.tensor_id);
-                layout.slots_.push_back(slot);
-                if (cls[static_cast<std::size_t>(slot)] == kUnseen) {
-                    cls[static_cast<std::size_t>(slot)] = kExternal;
-                    first_meta[static_cast<std::size_t>(slot)] = &m;
-                }
-            });
+    layout.consumers.assign(n, 0);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const OpRange& r = layout.ops_[i];
+        for (uint32_t k = r.in; k < r.in + r.n_in; ++k) {
+            const auto slot = static_cast<std::size_t>(layout.slots_[k]);
+            ++layout.consumers[slot];
+            if (cls[slot] == kUnseen) {
+                cls[slot] = kExternal;
+                first_meta[slot] = refs[k];
+            }
         }
-        r.n_in = static_cast<uint32_t>(layout.slots_.size()) - r.in;
-        r.out = static_cast<uint32_t>(layout.slots_.size());
-        if (node != nullptr) {
-            for_each_tensor(node->outputs, [&](const et::TensorMeta& m) {
-                const int32_t slot = layout.slot_of(m.tensor_id);
-                layout.slots_.push_back(slot);
-                if (cls[static_cast<std::size_t>(slot)] != kExternal)
-                    cls[static_cast<std::size_t>(slot)] = kIntermediate;
-                producer[static_cast<std::size_t>(slot)] = node;
-            });
+        for (uint32_t k = r.out; k < r.out + r.n_out; ++k) {
+            const auto slot = static_cast<std::size_t>(layout.slots_[k]);
+            if (cls[slot] != kExternal)
+                cls[slot] = kIntermediate;
+            producer[slot] = nodes[i];
         }
-        r.n_out = static_cast<uint32_t>(layout.slots_.size()) - r.out;
-        layout.ops_.push_back(r);
     }
 
     // Pass 2: derive int64 generation policies from consuming ops.  Policies

@@ -87,6 +87,10 @@ struct TensorLayout {
     std::vector<int64_t> uids;      ///< slot → tensor id, ascending
     std::vector<External> externals; ///< ascending uid (= ascending slot)
     std::size_t num_intermediate = 0;
+    /// slot → how many input references the derived nodes make to it
+    /// (every argument, tensor lists included): the single-consumer
+    /// legality oracle of the plan optimizer's fused chains.
+    std::vector<int32_t> consumers;
     /// Per fused group, filled by the plan (empty for analyze() layouts).
     std::vector<GroupTensorSlots> groups;
 
@@ -99,6 +103,14 @@ struct TensorLayout {
 
     /// The slot of tensor @p uid, or -1 when no derived node touches it.
     int32_t slot_of(int64_t uid) const;
+
+    /// Input references to tensor @p uid across the derived nodes (0 when
+    /// no derived node touches it).
+    int32_t consumers_of(int64_t uid) const
+    {
+        const int32_t slot = slot_of(uid);
+        return slot < 0 ? 0 : consumers[static_cast<std::size_t>(slot)];
+    }
 
     /// The slots of the @p i-th node passed to derive().
     OpTensorSlots op(std::size_t i) const

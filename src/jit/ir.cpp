@@ -1,6 +1,8 @@
 #include "jit/ir.h"
 
+#include <algorithm>
 #include <charconv>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -173,62 +175,112 @@ build_ir_text(const FunctionSchema& schema, const std::vector<Constant>& constan
 
 namespace {
 
-/// Line-oriented IR parser.
+/// Calls @p fn with each trimmed, @p delim-separated piece of @p text at
+/// nesting depth 0 — split_top_level's rule ((), [] and <> nest) without
+/// materializing the pieces.
+template <typename Fn>
+void
+for_each_top_level(std::string_view text, char delim, Fn&& fn)
+{
+    int depth = 0;
+    std::size_t start = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if (c == '(' || c == '[' || c == '<') {
+            ++depth;
+        } else if (c == ')' || c == ']' || c == '>') {
+            --depth;
+        } else if (c == delim && depth == 0) {
+            fn(trim(text.substr(start, i - start)));
+            start = i + 1;
+        }
+    }
+    fn(trim(text.substr(start)));
+}
+
+/// One node as the parser reports it: views of the IR text (or of a
+/// Graph's strings when a Graph is compiled), valid during the call only.
+template <typename Str>
+struct NodeView {
+    std::span<const Str> outputs;
+    std::span<const Str> output_types;
+    std::string_view op;
+    Constant* constant = nullptr; ///< the payload of a prim::Constant node
+    std::span<const Str> inputs;
+};
+
+/// Line-oriented IR parser over views of the text.  It reports each piece
+/// to a sink in text order — sink.input(name, type) per graph input,
+/// sink.node(view) per node line, sink.returns(values) per return line —
+/// so a Graph (parse_ir) and a compiled Function read the same parse, and
+/// nothing is copied that the sink does not keep.
 class IrParser {
   public:
-    explicit IrParser(const std::string& text) : text_(text) {}
-
-    Graph parse()
+    explicit IrParser(std::string_view text) : text_(text)
     {
-        Graph g;
-        std::string header = read_until("):");
-        parse_header(header, g);
-        std::string rest = text_.substr(pos_);
-        for (const auto& raw_line : split(rest, '\n')) {
-            const auto line = trim(raw_line);
+        outputs_.reserve(4);
+        output_types_.reserve(4);
+        inputs_.reserve(8);
+    }
+
+    template <typename Sink>
+    void parse(Sink& sink)
+    {
+        const std::size_t close = text_.find("):");
+        if (close == std::string_view::npos)
+            fail("missing '):'");
+        parse_header(text_.substr(0, close), sink);
+        std::string_view rest = text_.substr(close + 2);
+        while (!rest.empty()) {
+            const std::size_t nl = rest.find('\n');
+            const std::string_view line = trim(rest.substr(0, nl));
+            rest = nl == std::string_view::npos ? std::string_view() : rest.substr(nl + 1);
             if (line.empty())
                 continue;
             if (starts_with(line, "return")) {
-                parse_return(line, g);
+                parse_return(line, sink);
             } else {
-                parse_node(line, g);
+                parse_node(line, sink);
             }
         }
-        return g;
     }
 
   private:
-    [[noreturn]] void fail(const std::string& msg) const
+    [[noreturn]] static void fail(const std::string& msg)
     {
         MYST_THROW(ParseError, "IR: " << msg);
     }
 
-    std::string read_until(const std::string& delim)
+    /// Splits "name : type" at its first ':'.
+    static std::pair<std::string_view, std::string_view> typed_value(std::string_view t,
+                                                                     const char* what)
     {
-        const auto p = text_.find(delim, pos_);
-        if (p == std::string::npos)
-            fail("missing '" + delim + "'");
-        std::string out = text_.substr(pos_, p - pos_);
-        pos_ = p + delim.size();
-        return out;
+        const auto colon = t.find(':');
+        if (colon == std::string_view::npos)
+            fail(std::string(what) + " missing type: " + std::string(t));
+        return {trim(t.substr(0, colon)), trim(t.substr(colon + 1))};
     }
 
-    void parse_header(const std::string& header, Graph& g)
+    template <typename Sink>
+    static void parse_header(std::string_view header, Sink& sink)
     {
         const auto lparen = header.find('(');
-        if (lparen == std::string::npos || trim(header.substr(0, lparen)) != "graph")
+        if (lparen == std::string_view::npos || trim(header.substr(0, lparen)) != "graph")
             fail("expected 'graph('");
-        const std::string args = header.substr(lparen + 1);
-        for (const auto& piece : split_top_level(args, ',')) {
-            const auto t = trim(piece);
+        for_each_top_level(header.substr(lparen + 1), ',', [&](std::string_view t) {
             if (t.empty())
-                continue;
-            const auto colon = t.find(':');
-            if (colon == std::string_view::npos)
-                fail("graph input missing type: " + std::string(t));
-            g.input_names.emplace_back(trim(t.substr(0, colon)));
-            g.input_types.emplace_back(trim(t.substr(colon + 1)));
-        }
+                return;
+            const auto [name, type] = typed_value(t, "graph input");
+            sink.input(name, type);
+        });
+    }
+
+    /// Parses all of @p t as a number; false when any of it is not.
+    template <typename T>
+    static bool parse_number(std::string_view t, T& out)
+    {
+        const auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
+        return ec == std::errc() && p == t.data() + t.size();
     }
 
     static Constant parse_constant_payload(std::string_view expr)
@@ -253,153 +305,246 @@ class IrParser {
             c.string_value = std::string(payload.substr(1, payload.size() - 2));
         } else if (!payload.empty() && payload.front() == '[') {
             c.kind = Constant::Kind::kIntList;
-            const auto inner = payload.substr(1, payload.size() - 2);
-            for (const auto& tok : split_top_level(inner, ',')) {
-                const auto t = trim(tok);
-                if (t.empty())
-                    continue;
-                int64_t v = 0;
-                auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
-                if (ec != std::errc())
-                    MYST_THROW(ParseError, "IR: bad int list element: " << t);
-                c.int_list.push_back(v);
-            }
+            for_each_top_level(payload.substr(1, payload.size() - 2), ',',
+                               [&](std::string_view t) {
+                                   if (t.empty())
+                                       return;
+                                   int64_t v = 0;
+                                   if (!parse_number(t, v))
+                                       MYST_THROW(ParseError,
+                                                  "IR: bad int list element: " << t);
+                                   c.int_list.push_back(v);
+                               });
         } else if (payload.find('.') != std::string_view::npos ||
                    payload.find('e') != std::string_view::npos) {
             c.kind = Constant::Kind::kFloat;
-            c.float_value = std::stod(std::string(payload));
+            if (!parse_number(payload, c.float_value))
+                MYST_THROW(ParseError, "IR: bad float constant: " << payload);
         } else {
             c.kind = Constant::Kind::kInt;
-            auto [p, ec] = std::from_chars(payload.data(), payload.data() + payload.size(),
-                                           c.int_value);
-            if (ec != std::errc())
+            if (!parse_number(payload, c.int_value))
                 MYST_THROW(ParseError, "IR: bad int constant: " << payload);
         }
         return c;
     }
 
-    void parse_node(std::string_view line, Graph& g)
+    template <typename Sink>
+    void parse_node(std::string_view line, Sink& sink)
     {
         const auto eq = line.find(" = ");
         if (eq == std::string_view::npos)
             fail("node missing '=': " + std::string(line));
-        IrNode node;
-        for (const auto& out : split_top_level(line.substr(0, eq), ',')) {
-            const auto t = trim(out);
-            const auto colon = t.find(':');
-            if (colon == std::string_view::npos)
-                fail("node output missing type: " + std::string(t));
-            node.outputs.emplace_back(trim(t.substr(0, colon)));
-            node.output_types.emplace_back(trim(t.substr(colon + 1)));
-        }
-        std::string_view expr = trim(line.substr(eq + 3));
+        outputs_.clear();
+        output_types_.clear();
+        inputs_.clear();
+        for_each_top_level(line.substr(0, eq), ',', [&](std::string_view t) {
+            const auto [name, type] = typed_value(t, "node output");
+            outputs_.push_back(name);
+            output_types_.push_back(type);
+        });
+        NodeView<std::string_view> node{outputs_, output_types_, {}, nullptr, {}};
+        const std::string_view expr = trim(line.substr(eq + 3));
         if (starts_with(expr, "prim::Constant")) {
+            Constant constant = parse_constant_payload(expr);
             node.op = "prim::Constant";
-            node.constant = parse_constant_payload(expr);
-        } else {
-            const auto lparen = expr.find('(');
-            if (lparen == std::string_view::npos || expr.back() != ')')
-                fail("node call malformed: " + std::string(expr));
-            node.op = std::string(trim(expr.substr(0, lparen)));
-            const auto inner = expr.substr(lparen + 1, expr.size() - lparen - 2);
-            for (const auto& tok : split_top_level(inner, ',')) {
-                const auto t = trim(tok);
-                if (!t.empty())
-                    node.inputs.emplace_back(t);
-            }
+            node.constant = &constant;
+            sink.node(node);
+            return;
         }
-        g.nodes.push_back(std::move(node));
+        const auto lparen = expr.find('(');
+        if (lparen == std::string_view::npos || expr.back() != ')')
+            fail("node call malformed: " + std::string(expr));
+        node.op = trim(expr.substr(0, lparen));
+        for_each_top_level(expr.substr(lparen + 1, expr.size() - lparen - 2), ',',
+                           [&](std::string_view t) {
+                               if (!t.empty())
+                                   inputs_.push_back(t);
+                           });
+        node.inputs = inputs_;
+        sink.node(node);
     }
 
-    void parse_return(std::string_view line, Graph& g)
+    template <typename Sink>
+    void parse_return(std::string_view line, Sink& sink)
     {
         const auto lparen = line.find('(');
         const auto rparen = line.rfind(')');
-        if (lparen == std::string_view::npos || rparen == std::string_view::npos)
+        if (lparen == std::string_view::npos || rparen == std::string_view::npos ||
+            rparen < lparen)
             fail("return malformed");
-        for (const auto& tok :
-             split_top_level(line.substr(lparen + 1, rparen - lparen - 1), ',')) {
-            const auto t = trim(tok);
-            if (!t.empty())
-                g.return_values.emplace_back(t);
-        }
+        inputs_.clear();
+        for_each_top_level(line.substr(lparen + 1, rparen - lparen - 1), ',',
+                           [&](std::string_view t) {
+                               if (!t.empty())
+                                   inputs_.push_back(t);
+                           });
+        sink.returns(std::span<const std::string_view>(inputs_));
     }
 
-    const std::string& text_;
-    std::size_t pos_ = 0;
+    std::string_view text_;
+    /// Per-line scratch, reused across the text's lines.
+    std::vector<std::string_view> outputs_, output_types_, inputs_;
+};
+
+/// Constant::to_ivalue() for a constant about to be dropped: lists and
+/// strings move instead of being copied.
+fw::IValue
+take_ivalue(Constant&& c)
+{
+    if (c.kind == Constant::Kind::kIntList)
+        return fw::IValue(std::move(c.int_list));
+    if (c.kind == Constant::Kind::kString)
+        return fw::IValue(std::move(c.string_value));
+    return c.to_ivalue();
+}
+
+/// The parse_ir sink: copies each piece into a Graph.
+struct GraphBuilder {
+    Graph graph;
+
+    void input(std::string_view name, std::string_view type)
+    {
+        graph.input_names.emplace_back(name);
+        graph.input_types.emplace_back(type);
+    }
+
+    void node(const NodeView<std::string_view>& view)
+    {
+        IrNode& node = graph.nodes.emplace_back();
+        node.outputs.assign(view.outputs.begin(), view.outputs.end());
+        node.output_types.assign(view.output_types.begin(), view.output_types.end());
+        node.op = view.op;
+        if (view.constant != nullptr)
+            node.constant = std::move(*view.constant);
+        node.inputs.assign(view.inputs.begin(), view.inputs.end());
+    }
+
+    void returns(std::span<const std::string_view> values)
+    {
+        graph.return_values.insert(graph.return_values.end(), values.begin(), values.end());
+    }
 };
 
 } // namespace
 
 Graph
-parse_ir(const std::string& text)
+parse_ir(std::string_view text)
 {
-    return IrParser(text).parse();
+    GraphBuilder builder;
+    IrParser(text).parse(builder);
+    return std::move(builder.graph);
 }
 
-Function::Function(std::string name, const Graph& graph)
-    : name_(std::move(name)), num_inputs_(graph.input_names.size())
-{
-    // Value name → operand, live only while compiling.  Per-op graphs hold
-    // a handful of values, so a backwards linear scan beats hashing; it also
-    // finds a redefined name's latest definition (each gets a fresh slot).
-    std::vector<std::pair<const std::string*, Operand>> defined;
+/// Compiles a graph, piece by piece in text order, into its Function's slot
+/// program — the sink both constructors feed.
+struct Function::Builder {
+    Function& fn;
+    /// Value name → operand, live only while compiling.  Per-op graphs hold
+    /// a handful of values, so a backwards linear scan beats hashing; it
+    /// also finds a redefined name's latest definition (each gets a fresh
+    /// slot).  Names view the IR text or Graph being compiled.
+    std::vector<std::pair<std::string_view, Operand>> defined;
     uint32_t next_slot = 0;
-    auto define = [&](const std::string& value, Operand op) { defined.emplace_back(&value, op); };
-    for (const auto& in : graph.input_names)
-        define(in, Operand{next_slot++, false, false});
-    auto lookup = [&](const std::string& value, const char* what) {
+
+    Operand lookup(std::string_view value, const char* what) const
+    {
         for (auto it = defined.rbegin(); it != defined.rend(); ++it) {
-            if (*it->first == value)
+            if (it->first == value)
                 return it->second;
         }
-        MYST_THROW(ReplayError, "IR " << what << " '" << value << "' undefined in " << name_);
-    };
+        MYST_THROW(ReplayError, "IR " << what << " '" << value << "' undefined in " << fn.name_);
+    }
 
-    for (const auto& node : graph.nodes) {
-        if (node.op == "prim::Constant") {
+    void input(std::string_view name, std::string_view /*type*/)
+    {
+        defined.emplace_back(name, Operand{next_slot++, false, false});
+        ++fn.num_inputs_;
+    }
+
+    template <typename Str>
+    void node(const NodeView<Str>& node)
+    {
+        if (node.constant != nullptr) {
             if (node.outputs.empty())
-                MYST_THROW(ReplayError, "IR constant without an output in " << name_);
-            define(node.outputs[0],
-                   Operand{static_cast<uint32_t>(constants_.size()), true, false});
-            constants_.push_back(node.constant.to_ivalue());
-            continue;
+                MYST_THROW(ReplayError, "IR constant without an output in " << fn.name_);
+            defined.emplace_back(
+                node.outputs[0],
+                Operand{static_cast<uint32_t>(fn.constants_.size()), true, false});
+            fn.constants_.push_back(take_ivalue(std::move(*node.constant)));
+            return;
         }
-        Step step;
+        Step& step = fn.steps_.emplace_back();
         step.op = node.op;
         // Resolve operator identities once at compile time (§4.3.4: all
         // reconstruction work happens during initialization).  Ops not yet
         // registered stay unresolved and are retried lazily by run().
-        if (const fw::OpDef* def = fw::OpRegistry::instance().find(node.op))
+        if (const fw::OpDef* def = fw::OpRegistry::instance().find(step.op))
             step.op_id.store(def->id);
         step.args.reserve(node.inputs.size());
         for (const auto& in : node.inputs)
             step.args.push_back(lookup(in, "value"));
+        step.outputs.reserve(node.outputs.size());
         for (const auto& out : node.outputs) {
             step.outputs.push_back(next_slot);
-            define(out, Operand{next_slot++, false, false});
+            defined.emplace_back(out, Operand{next_slot++, false, false});
         }
-        steps_.push_back(std::move(step));
     }
-    for (const auto& r : graph.return_values)
-        returns_.push_back(lookup(r, "return value"));
 
-    // Last-use analysis, walking reads backwards: the first read of a slot
-    // met is its last, and may move the value out of the environment.
-    std::vector<bool> read_later(next_slot, false);
-    auto mark = [&](Operand& a) {
-        if (!a.constant && !read_later[a.index]) {
-            a.last_use = true;
-            read_later[a.index] = true;
+    template <typename Str>
+    void returns(std::span<const Str> values)
+    {
+        for (const auto& r : values)
+            fn.returns_.push_back(lookup(r, "return value"));
+    }
+
+    /// Last-use analysis, walking reads backwards: the first read of a slot
+    /// met is its last, and may move the value out of the environment.
+    void finish()
+    {
+        std::vector<bool> read_later(next_slot, false);
+        auto mark = [&](Operand& a) {
+            if (!a.constant && !read_later[a.index]) {
+                a.last_use = true;
+                read_later[a.index] = true;
+            }
+        };
+        for (auto it = fn.returns_.rbegin(); it != fn.returns_.rend(); ++it)
+            mark(*it);
+        for (auto step = fn.steps_.rbegin(); step != fn.steps_.rend(); ++step)
+            for (auto a = step->args.rbegin(); a != step->args.rend(); ++a)
+                mark(*a);
+        fn.num_slots_ = next_slot;
+    }
+};
+
+Function::Function(std::string name, const Graph& graph) : name_(std::move(name))
+{
+    Builder builder{*this, {}, 0};
+    for (std::size_t i = 0; i < graph.input_names.size(); ++i)
+        builder.input(graph.input_names[i], graph.input_types[i]);
+    for (const IrNode& node : graph.nodes) {
+        Constant constant;
+        NodeView<std::string> view{node.outputs, node.output_types, node.op, nullptr,
+                                   node.inputs};
+        if (node.op == "prim::Constant") {
+            constant = node.constant;
+            view.constant = &constant;
         }
-    };
-    for (auto it = returns_.rbegin(); it != returns_.rend(); ++it)
-        mark(*it);
-    for (auto step = steps_.rbegin(); step != steps_.rend(); ++step)
-        for (auto a = step->args.rbegin(); a != step->args.rend(); ++a)
-            mark(*a);
+        builder.node(view);
+    }
+    builder.returns(std::span<const std::string>(graph.return_values));
+    builder.finish();
+}
 
-    num_slots_ = next_slot;
+Function::Function(std::string name, std::string_view ir_text) : name_(std::move(name))
+{
+    Builder builder{*this, {}, 0};
+    // Per-op graphs: a few inputs, and one node per remaining line.
+    const auto lines = static_cast<std::size_t>(std::count(ir_text.begin(), ir_text.end(), '\n'));
+    builder.defined.reserve(lines + 8);
+    constants_.reserve(lines);
+    IrParser(ir_text).parse(builder);
+    builder.finish();
 }
 
 std::vector<fw::IValue>
@@ -452,6 +597,13 @@ const Function&
 CompilationUnit::create_function(const std::string& name, const Graph& graph)
 {
     functions_.push_back(std::make_unique<Function>(name, graph));
+    return *functions_.back();
+}
+
+const Function&
+CompilationUnit::create_function(const std::string& name, std::string_view ir_text)
+{
+    functions_.push_back(std::make_unique<Function>(name, ir_text));
     return *functions_.back();
 }
 

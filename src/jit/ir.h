@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/op_id.h"
@@ -79,7 +80,7 @@ std::string build_ir_text(const FunctionSchema& schema,
                           const std::vector<Constant>& constant_args);
 
 /// Parses IR text into a Graph; throws ParseError on malformed input.
-Graph parse_ir(const std::string& text);
+Graph parse_ir(std::string_view text);
 
 /// A compiled callable over a Graph.
 ///
@@ -93,6 +94,11 @@ Graph parse_ir(const std::string& text);
 class Function {
   public:
     Function(std::string name, const Graph& graph);
+    /// Compiles IR text straight into the same program as
+    /// Function(name, parse_ir(ir_text)), without building the Graph.
+    /// Malformed text throws ParseError, an undefined value ReplayError,
+    /// whichever the text meets first.
+    Function(std::string name, std::string_view ir_text);
 
     const std::string& name() const { return name_; }
     std::size_t num_inputs() const { return num_inputs_; }
@@ -125,6 +131,8 @@ class Function {
     std::vector<Step> steps_;
     std::vector<Operand> returns_;
     std::size_t num_slots_ = 0; ///< size of run()'s environment
+
+    struct Builder; ///< the compiler both constructors feed (ir.cpp)
 };
 
 /// Owns compiled functions (torch._C.CompilationUnit analogue).
@@ -132,6 +140,9 @@ class CompilationUnit {
   public:
     /// Compiles a graph into a named function and retains it.
     const Function& create_function(const std::string& name, const Graph& graph);
+    /// Compiles IR text into a named function and retains it (the same
+    /// function as create_function(name, parse_ir(ir_text))).
+    const Function& create_function(const std::string& name, std::string_view ir_text);
 
     const Function* find(const std::string& name) const;
     std::size_t size() const { return functions_.size(); }

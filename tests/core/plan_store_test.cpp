@@ -169,6 +169,29 @@ TEST(PlanRoundTrip, EveryReachedOpSurvivesJsonAndReplaysBitIdentically)
         << "multi-workload trace set reaches suspiciously few registered ops";
 }
 
+// Every IR text a real plan records reads back to itself through the
+// string_view parser, and compiling the text directly yields the same
+// program shape as compiling its parsed Graph.
+TEST(PlanRoundTrip, EveryRecordedIrTextParsesBackToItself)
+{
+    const ReplayConfig cfg = tiny_replay();
+    std::size_t checked = 0;
+    for (const char* workload : {"resnet", "rm"}) {
+        const auto& r0 = traced(workload).rank0();
+        const Json j = ReplayPlan::build(r0.trace, &r0.prof, cfg)->to_json();
+        for (const Json& t : j.at("ir_table").as_array()) {
+            const std::string& text = t.as_string();
+            const jit::Graph g = jit::parse_ir(text);
+            EXPECT_EQ(g.render(), text) << workload;
+            EXPECT_EQ(jit::Function("from_text", std::string_view(text)).num_inputs(),
+                      jit::Function("from_graph", g).num_inputs())
+                << workload << ": " << text;
+            ++checked;
+        }
+    }
+    EXPECT_GE(checked, 20u) << "resnet and rm plans record suspiciously few IR texts";
+}
+
 // ---------------------------------------------------------------------------
 // Disk-tier reuse across cache instances (the in-process stand-in for the
 // cross-process CI step; the key and entry bytes are process-independent).

@@ -189,6 +189,25 @@ TEST(Ir, ParseErrors)
                  ParseError);
 }
 
+TEST(Ir, MalformedTextThrowsParseErrorFromBothEntryPoints)
+{
+    const char* malformed[] = {
+        // header without the closing "):"
+        "graph(%x : Tensor)\n  %1 : Tensor = aten::relu(%x)\n  return (%1)\n",
+        // a node line without " = "
+        "graph(%x : Tensor):\n  %1 : Tensor aten::relu(%x)\n  return (%1)\n",
+        // a node output without a type
+        "graph(%x : Tensor):\n  %1 = aten::relu(%x)\n  return (%1)\n",
+        // an int-list element that is not an integer
+        "graph(%x : Tensor):\n  %2 : int[] = prim::Constant[value=[2, x]]()\n"
+        "  %1 : Tensor = aten::reshape(%x, %2)\n  return (%1)\n",
+    };
+    for (const char* text : malformed) {
+        EXPECT_THROW(parse_ir(text), ParseError) << text;
+        EXPECT_THROW(Function("f", std::string_view(text)), ParseError) << text;
+    }
+}
+
 TEST(Ir, CompiledFunctionExecutes)
 {
     // The full §4.3.1 pipeline: schema → IR → compile → run through a session.
