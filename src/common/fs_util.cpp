@@ -12,9 +12,7 @@
 #ifdef _WIN32
 #include <process.h>
 #else
-#include <cerrno>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -135,33 +133,6 @@ atomic_write_file(const std::string& path, std::string_view content)
 std::string
 read_file(const std::string& path)
 {
-#ifndef _WIN32
-    // One open, fstat and read: plan-store hits read an entry per fetch, and
-    // an ifstream adds a stream buffer and two seeks to each.
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        MYST_THROW(ParseError, "cannot open file '" + path + "'");
-    struct FdGuard {
-        int fd;
-        ~FdGuard() { ::close(fd); }
-    } guard{fd};
-    if (FaultInjection::instance().should_fail("fs.read"))
-        MYST_THROW(ParseError, "injected fault: cannot read file '" + path + "'");
-    struct stat st {};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0)
-        MYST_THROW(ParseError, "cannot read file '" + path + "'");
-    std::string text(static_cast<std::size_t>(st.st_size), '\0');
-    std::size_t got = 0;
-    while (got < text.size()) {
-        const ssize_t n = ::read(fd, text.data() + got, text.size() - got);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            MYST_THROW(ParseError, "cannot read file '" + path + "'");
-        got += static_cast<std::size_t>(n);
-    }
-    return text;
-#else
     std::ifstream in(path, std::ios::binary);
     if (!in)
         MYST_THROW(ParseError, "cannot open file '" + path + "'");
@@ -177,7 +148,6 @@ read_file(const std::string& path)
     if (in.gcount() != static_cast<std::streamsize>(text.size()))
         MYST_THROW(ParseError, "cannot read file '" + path + "'");
     return text;
-#endif
 }
 
 bool

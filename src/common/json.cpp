@@ -237,7 +237,7 @@ Json::dump_to(std::string& out, int indent, int depth) const
             out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(d), ' ');
         }
     };
-    switch (type()) {
+    switch (type_) {
       case Type::kNull:
         out += "null";
         break;
@@ -254,31 +254,29 @@ Json::dump_to(std::string& out, int indent, int depth) const
         escape_string(str_, out);
         break;
       case Type::kArray: {
-        const Array& arr = arr_;
         out += '[';
-        for (std::size_t i = 0; i < arr.size(); ++i) {
+        for (std::size_t i = 0; i < arr_.size(); ++i) {
             if (i > 0)
-                out += ",";
+                out += pretty ? "," : ",";
             newline(depth + 1);
-            arr[i].dump_to(out, indent, depth + 1);
+            arr_[i].dump_to(out, indent, depth + 1);
         }
-        if (!arr.empty())
+        if (!arr_.empty())
             newline(depth);
         out += ']';
         break;
       }
       case Type::kObject: {
-        const Object& obj = obj_;
         out += '{';
-        for (std::size_t i = 0; i < obj.size(); ++i) {
+        for (std::size_t i = 0; i < obj_.size(); ++i) {
             if (i > 0)
                 out += ",";
             newline(depth + 1);
-            escape_string(obj[i].first, out);
+            escape_string(obj_[i].first, out);
             out += pretty ? ": " : ":";
-            obj[i].second.dump_to(out, indent, depth + 1);
+            obj_[i].second.dump_to(out, indent, depth + 1);
         }
-        if (!obj.empty())
+        if (!obj_.empty())
             newline(depth);
         out += '}';
         break;
@@ -428,7 +426,11 @@ class Parser {
             skip_ws();
             expect(':');
             skip_ws();
-            members.emplace_back(std::move(key), parse_value());
+            int64_t plain = 0;
+            if (scan_plain_int(plain))
+                members.emplace_back(std::move(key), Json(plain));
+            else
+                members.emplace_back(std::move(key), parse_value());
             skip_ws();
             char c = next();
             if (c == '}')
@@ -451,11 +453,17 @@ class Parser {
             ++pos_;
             return Json(Json::Array{});
         }
+        if (stack_.capacity() == 0)
+            stack_.reserve(256); // a plan's per-op columns fit without regrowth
         const std::size_t mark = stack_.size();
         while (true) {
             skip_ws();
-            Json value = parse_value();
-            stack_.push_back(std::move(value));
+            // Scalars straight onto the stack, without a returned temporary.
+            int64_t plain = 0;
+            if (scan_plain_int(plain))
+                stack_.emplace_back(plain);
+            else
+                stack_.push_back(parse_value());
             skip_ws();
             char c = next();
             if (c == ']')
@@ -581,27 +589,35 @@ class Parser {
                c == '-';
     }
 
+    /// Scans a plain integer short enough that it cannot overflow (the bulk
+    /// of trace and plan numbers — ids, shapes, indices) in one pass.  False,
+    /// with the position unchanged, for anything else.
+    bool scan_plain_int(int64_t& out)
+    {
+        std::size_t p = pos_;
+        const bool negative = p < text_.size() && text_[p] == '-';
+        if (negative)
+            ++p;
+        const std::size_t first = p;
+        uint64_t magnitude = 0;
+        while (p < text_.size() && text_[p] >= '0' && text_[p] <= '9' && p - first < 18) {
+            magnitude = magnitude * 10 + static_cast<uint64_t>(text_[p] - '0');
+            ++p;
+        }
+        if (p == first || (p < text_.size() && is_number_char(text_[p])))
+            return false;
+        pos_ = p;
+        const auto v = static_cast<int64_t>(magnitude);
+        out = negative ? -v : v;
+        return true;
+    }
+
     Json parse_number()
     {
+        int64_t plain = 0;
+        if (scan_plain_int(plain))
+            return Json(plain);
         const std::size_t start = pos_;
-        const bool negative = peek() == '-';
-        if (negative)
-            ++pos_;
-        // Fast path, one pass: a plain integer short enough that it cannot
-        // overflow (the bulk of trace and plan numbers — ids, shapes,
-        // indices).
-        uint64_t magnitude = 0;
-        std::size_t digits = 0;
-        while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9' &&
-               digits < 18) {
-            magnitude = magnitude * 10 + static_cast<uint64_t>(text_[pos_] - '0');
-            ++pos_;
-            ++digits;
-        }
-        if (digits > 0 && (pos_ == text_.size() || !is_number_char(text_[pos_]))) {
-            const auto v = static_cast<int64_t>(magnitude);
-            return Json(negative ? -v : v);
-        }
         // General path: fractions, exponents, long integers, junk.
         while (pos_ < text_.size() && is_number_char(text_[pos_]))
             ++pos_;
@@ -661,7 +677,9 @@ Json::operator==(const Json& other) const
 {
     if (type_ != other.type_) {
         // int/double comparisons compare numerically
-        return is_number() && other.is_number() && as_double() == other.as_double();
+        if (is_number() && other.is_number())
+            return as_double() == other.as_double();
+        return false;
     }
     switch (type_) {
       case Type::kNull: return true;

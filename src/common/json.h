@@ -78,15 +78,15 @@ class Json {
     static Json object() { return Json(Object{}); }
 
     Type type() const { return type_; }
-    bool is_null() const { return type() == Type::kNull; }
-    bool is_bool() const { return type() == Type::kBool; }
-    bool is_int() const { return type() == Type::kInt; }
-    bool is_double() const { return type() == Type::kDouble; }
+    bool is_null() const { return type_ == Type::kNull; }
+    bool is_bool() const { return type_ == Type::kBool; }
+    bool is_int() const { return type_ == Type::kInt; }
+    bool is_double() const { return type_ == Type::kDouble; }
     /// True for either numeric representation.
     bool is_number() const { return is_int() || is_double(); }
-    bool is_string() const { return type() == Type::kString; }
-    bool is_array() const { return type() == Type::kArray; }
-    bool is_object() const { return type() == Type::kObject; }
+    bool is_string() const { return type_ == Type::kString; }
+    bool is_array() const { return type_ == Type::kArray; }
+    bool is_object() const { return type_ == Type::kObject; }
 
     /// Typed accessors; throw ParseError when the type does not match.
     bool as_bool() const;

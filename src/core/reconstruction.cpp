@@ -120,7 +120,9 @@ Reconstructor::compile(std::string_view ir_text, const et::Node& node)
     if (it == by_text_.end()) {
         // Named after the IR, not the node: every op sharing the text runs
         // it, so run() diagnostics must not point at one particular node.
-        std::string name = node.name;
+        std::string name;
+        name.reserve(node.name.size() + 19);
+        name += node.name;
         name += "_ir";
         name += hex64(TextHash{}(ir_text));
         const jit::Function& fn = cu_.create_function(name, ir_text);

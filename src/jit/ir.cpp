@@ -209,6 +209,21 @@ struct NodeView {
     std::span<const Str> inputs;
 };
 
+/// The IR parser's per-line pieces, kept per thread: a plan build or
+/// restore parses dozens of short texts in a row, and reusing the vectors'
+/// capacity leaves a parse allocating only what its sink keeps.  A parse
+/// never starts another on the same thread while it holds them.
+struct ParseScratch {
+    std::vector<std::string_view> outputs, output_types, inputs;
+};
+
+ParseScratch&
+parse_scratch()
+{
+    thread_local ParseScratch scratch;
+    return scratch;
+}
+
 /// Line-oriented IR parser over views of the text.  It reports each piece
 /// to a sink in text order — sink.input(name, type) per graph input,
 /// sink.node(view) per node line, sink.returns(values) per return line —
@@ -216,11 +231,10 @@ struct NodeView {
 /// nothing is copied that the sink does not keep.
 class IrParser {
   public:
-    explicit IrParser(std::string_view text) : text_(text)
+    explicit IrParser(std::string_view text)
+        : text_(text), outputs_(parse_scratch().outputs),
+          output_types_(parse_scratch().output_types), inputs_(parse_scratch().inputs)
     {
-        outputs_.reserve(4);
-        output_types_.reserve(4);
-        inputs_.reserve(8);
     }
 
     template <typename Sink>
@@ -283,6 +297,20 @@ class IrParser {
         return ec == std::errc() && p == t.data() + t.size();
     }
 
+    /// Parses a float payload as Constant::render() writes it: a whole
+    /// value gets a '.' appended even when printed in exponent form
+    /// ("1e+06.", "-1e+09."), so one '.' after an exponent is accepted.
+    static bool parse_float(std::string_view t, double& out)
+    {
+        const auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
+        if (ec != std::errc())
+            return false;
+        const std::string_view parsed(t.data(), static_cast<std::size_t>(p - t.data()));
+        const std::string_view rest = t.substr(parsed.size());
+        return rest.empty() ||
+               (rest == "." && parsed.find_first_of("eE") != std::string_view::npos);
+    }
+
     static Constant parse_constant_payload(std::string_view expr)
     {
         Constant c;
@@ -305,6 +333,9 @@ class IrParser {
             c.string_value = std::string(payload.substr(1, payload.size() - 2));
         } else if (!payload.empty() && payload.front() == '[') {
             c.kind = Constant::Kind::kIntList;
+            if (payload.size() > 2) // one allocation: elements = commas + 1
+                c.int_list.reserve(
+                    static_cast<std::size_t>(std::count(payload.begin(), payload.end(), ',')) + 1);
             for_each_top_level(payload.substr(1, payload.size() - 2), ',',
                                [&](std::string_view t) {
                                    if (t.empty())
@@ -318,7 +349,7 @@ class IrParser {
         } else if (payload.find('.') != std::string_view::npos ||
                    payload.find('e') != std::string_view::npos) {
             c.kind = Constant::Kind::kFloat;
-            if (!parse_number(payload, c.float_value))
+            if (!parse_float(payload, c.float_value))
                 MYST_THROW(ParseError, "IR: bad float constant: " << payload);
         } else {
             c.kind = Constant::Kind::kInt;
@@ -382,8 +413,8 @@ class IrParser {
     }
 
     std::string_view text_;
-    /// Per-line scratch, reused across the text's lines.
-    std::vector<std::string_view> outputs_, output_types_, inputs_;
+    /// Per-line scratch (parse_scratch()), reused across lines and texts.
+    std::vector<std::string_view>&outputs_, &output_types_, &inputs_;
 };
 
 /// Constant::to_ivalue() for a constant about to be dropped: lists and
@@ -438,12 +469,25 @@ parse_ir(std::string_view text)
 /// Compiles a graph, piece by piece in text order, into its Function's slot
 /// program — the sink both constructors feed.
 struct Function::Builder {
+    /// Compile-time bookkeeping, kept per thread like parse_scratch().
+    struct Scratch {
+        std::vector<std::pair<std::string_view, Operand>> defined;
+        std::vector<bool> read_later;
+    };
+    static Scratch& scratch()
+    {
+        thread_local Scratch s;
+        return s;
+    }
+
+    explicit Builder(Function& f) : fn(f), defined(scratch().defined) { defined.clear(); }
+
     Function& fn;
     /// Value name → operand, live only while compiling.  Per-op graphs hold
     /// a handful of values, so a backwards linear scan beats hashing; it
     /// also finds a redefined name's latest definition (each gets a fresh
     /// slot).  Names view the IR text or Graph being compiled.
-    std::vector<std::pair<std::string_view, Operand>> defined;
+    std::vector<std::pair<std::string_view, Operand>>& defined;
     uint32_t next_slot = 0;
 
     Operand lookup(std::string_view value, const char* what) const
@@ -501,7 +545,8 @@ struct Function::Builder {
     /// met is its last, and may move the value out of the environment.
     void finish()
     {
-        std::vector<bool> read_later(next_slot, false);
+        std::vector<bool>& read_later = scratch().read_later;
+        read_later.assign(next_slot, false);
         auto mark = [&](Operand& a) {
             if (!a.constant && !read_later[a.index]) {
                 a.last_use = true;
@@ -519,7 +564,7 @@ struct Function::Builder {
 
 Function::Function(std::string name, const Graph& graph) : name_(std::move(name))
 {
-    Builder builder{*this, {}, 0};
+    Builder builder(*this);
     for (std::size_t i = 0; i < graph.input_names.size(); ++i)
         builder.input(graph.input_names[i], graph.input_types[i]);
     for (const IrNode& node : graph.nodes) {
@@ -538,11 +583,9 @@ Function::Function(std::string name, const Graph& graph) : name_(std::move(name)
 
 Function::Function(std::string name, std::string_view ir_text) : name_(std::move(name))
 {
-    Builder builder{*this, {}, 0};
+    Builder builder(*this);
     // Per-op graphs: a few inputs, and one node per remaining line.
-    const auto lines = static_cast<std::size_t>(std::count(ir_text.begin(), ir_text.end(), '\n'));
-    builder.defined.reserve(lines + 8);
-    constants_.reserve(lines);
+    constants_.reserve(static_cast<std::size_t>(std::count(ir_text.begin(), ir_text.end(), '\n')));
     IrParser(ir_text).parse(builder);
     builder.finish();
 }

@@ -25,6 +25,9 @@
 #include "core/plan_cache.h"
 #include "core/plan_store.h"
 #include "core/replayer.h"
+#include "et/trace.h"
+#include "framework/session.h"
+#include "jit/ir.h"
 #include "workloads/harness.h"
 
 namespace mystique::core {
@@ -169,25 +172,98 @@ TEST(PlanRoundTrip, EveryReachedOpSurvivesJsonAndReplaysBitIdentically)
         << "multi-workload trace set reaches suspiciously few registered ops";
 }
 
+// Drops the storage id (element 1 of every tensor's id tuple): storages
+// are numbered process-wide, tensor ids per session.
+void
+drop_storage_ids(Json& j)
+{
+    if (j.is_array()) {
+        for (Json& e : j.as_array())
+            drop_storage_ids(e);
+    } else if (j.is_object()) {
+        for (auto& [key, value] : j.as_object()) {
+            if (key == "id" && value.is_array() && value.as_array().size() == 6)
+                value.as_array()[1] = Json(0);
+            else
+                drop_storage_ids(value);
+        }
+    }
+}
+
+// The operator calls a compiled function makes, recorded by an ET observer
+// in a fresh shape-only session: op names, every argument (constants
+// included) and the ids and shapes of inputs and outputs.  Fresh sessions
+// number tensors alike, so two functions that compile to the same program
+// record the same JSON.
+std::string
+recorded_calls(const jit::Function& fn, const et::Node& node)
+{
+    fw::SessionOptions opts;
+    opts.mode = fw::ExecMode::kShapeOnly;
+    fw::Session sess(opts);
+    std::vector<fw::IValue> inputs;
+    for (const et::Argument& arg : node.inputs) {
+        std::vector<fw::Tensor> ts;
+        for (const et::TensorMeta& t : arg.tensors)
+            ts.push_back(sess.alloc(t.shape, fw::dtype_from_name(t.dtype)));
+        if (arg.kind == et::Argument::Kind::kTensor)
+            inputs.emplace_back(ts.at(0));
+        else if (arg.kind == et::Argument::Kind::kTensorList)
+            inputs.emplace_back(std::move(ts));
+    }
+    et::ExecutionTraceObserver obs;
+    sess.attach_et_observer(&obs);
+    obs.start();
+    const std::vector<fw::IValue> outs = fn.run(sess, std::move(inputs));
+    obs.stop();
+    Json returned = Json::array();
+    for (const fw::IValue& v : outs) {
+        Json shapes = Json::array();
+        for (const fw::Tensor& t : v.referenced_tensors()) {
+            Json dims = Json::array();
+            for (const int64_t d : t.shape())
+                dims.push_back(Json(d));
+            shapes.push_back(std::move(dims));
+        }
+        returned.push_back(std::move(shapes));
+    }
+    Json calls = Json::array();
+    for (const et::Node& n : obs.trace().nodes())
+        calls.push_back(n.to_json());
+    drop_storage_ids(calls);
+    Json out = Json::object();
+    out.set("calls", std::move(calls));
+    out.set("returned", std::move(returned));
+    return out.dump();
+}
+
 // Every IR text a real plan records reads back to itself through the
 // string_view parser, and compiling the text directly yields the same
-// program shape as compiling its parsed Graph.
+// program as compiling its parsed Graph: run on the recording op's inputs,
+// both make the same operator calls with the same constants and return
+// the same values.
 TEST(PlanRoundTrip, EveryRecordedIrTextParsesBackToItself)
 {
     const ReplayConfig cfg = tiny_replay();
     std::size_t checked = 0;
     for (const char* workload : {"resnet", "rm"}) {
         const auto& r0 = traced(workload).rank0();
-        const Json j = ReplayPlan::build(r0.trace, &r0.prof, cfg)->to_json();
-        for (const Json& t : j.at("ir_table").as_array()) {
-            const std::string& text = t.as_string();
+        const auto plan = ReplayPlan::build(r0.trace, &r0.prof, cfg);
+        std::set<std::string_view> seen;
+        for (const ReconstructedOp& op : plan->ops()) {
+            if (op.kind != ReconstructedOp::Kind::kCompiledIr || !seen.insert(op.ir_text).second)
+                continue;
+            const std::string text(op.ir_text);
             const jit::Graph g = jit::parse_ir(text);
             EXPECT_EQ(g.render(), text) << workload;
-            EXPECT_EQ(jit::Function("from_text", std::string_view(text)).num_inputs(),
-                      jit::Function("from_graph", g).num_inputs())
-                << workload << ": " << text;
+            const jit::Function from_text("from_text", std::string_view(text));
+            const jit::Function from_graph("from_graph", g);
+            const std::string calls = recorded_calls(from_text, *op.node);
+            EXPECT_NE(calls.find(op.node->name), std::string::npos) << calls;
+            EXPECT_EQ(calls, recorded_calls(from_graph, *op.node)) << workload << ": " << text;
             ++checked;
         }
+        EXPECT_EQ(seen.size(), plan->to_json().at("ir_table").as_array().size()) << workload;
     }
     EXPECT_GE(checked, 20u) << "resnet and rm plans record suspiciously few IR texts";
 }

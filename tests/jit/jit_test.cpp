@@ -208,6 +208,54 @@ TEST(Ir, MalformedTextThrowsParseErrorFromBothEntryPoints)
     }
 }
 
+TEST(Ir, LargeWholeFloatConstantsRoundTripAndCompile)
+{
+    // A whole float prints in exponent form from 1e6 on, and render()
+    // appends '.' to every whole float: "1e+06.", "-1e+09.".
+    fw::SessionOptions opts;
+    opts.mode = fw::ExecMode::kNumeric;
+    fw::Session sess(opts);
+    const FunctionSchema fs =
+        parse_schema("aten::add.Tensor(Tensor self, Tensor other, *, Scalar alpha=1) -> Tensor");
+    for (const double alpha : {1e6, -1e9}) {
+        std::vector<Constant> consts(3);
+        consts[0].kind = consts[1].kind = Constant::Kind::kTensorInput;
+        consts[2].kind = Constant::Kind::kFloat;
+        consts[2].float_value = alpha;
+        const std::string text = build_ir_text(fs, consts);
+        EXPECT_NE(text.find(alpha > 0 ? "[value=1e+06.]" : "[value=-1e+09.]"), std::string::npos)
+            << text;
+        const Graph g = parse_ir(text);
+        ASSERT_EQ(g.nodes.size(), 2u) << text;
+        EXPECT_EQ(g.nodes[0].constant.kind, Constant::Kind::kFloat);
+        EXPECT_EQ(g.nodes[0].constant.float_value, alpha);
+        EXPECT_EQ(g.render(), text);
+
+        fw::Tensor a = sess.alloc({2});
+        fw::Tensor b = sess.alloc({2});
+        a.f32()[0] = a.f32()[1] = 1.0f;
+        b.f32()[0] = b.f32()[1] = 2.0f;
+        const Function from_text("from_text", std::string_view(text));
+        const Function from_graph("from_graph", g);
+        for (const Function* fn : {&from_text, &from_graph}) {
+            auto outs = fn->run(sess, {fw::IValue(a), fw::IValue(b)});
+            ASSERT_EQ(outs.size(), 1u) << fn->name();
+            EXPECT_FLOAT_EQ(outs[0].tensor().f32()[1], static_cast<float>(1.0 + 2.0 * alpha))
+                << fn->name();
+        }
+    }
+    // Only one '.' after an exponent is what render() writes.
+    for (const char* payload : {"1e+06..", "1.5.", "1e+06.0"}) {
+        const std::string text = std::string("graph(%x : Tensor):\n"
+                                             "  %2 : float = prim::Constant[value=") +
+                                 payload +
+                                 "]()\n  %1 : Tensor = aten::mul.Scalar(%x, %2)\n"
+                                 "  return (%1)\n";
+        EXPECT_THROW(parse_ir(text), ParseError) << payload;
+        EXPECT_THROW(Function("f", std::string_view(text)), ParseError) << payload;
+    }
+}
+
 TEST(Ir, CompiledFunctionExecutes)
 {
     // The full §4.3.1 pipeline: schema → IR → compile → run through a session.
