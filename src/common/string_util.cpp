@@ -43,32 +43,6 @@ split_top_level(std::string_view text, char delim)
     return out;
 }
 
-std::string_view
-trim(std::string_view text)
-{
-    std::size_t b = 0;
-    std::size_t e = text.size();
-    while (b < e && (text[b] == ' ' || text[b] == '\t' || text[b] == '\n' || text[b] == '\r'))
-        ++b;
-    while (e > b &&
-           (text[e - 1] == ' ' || text[e - 1] == '\t' || text[e - 1] == '\n' ||
-            text[e - 1] == '\r'))
-        --e;
-    return text.substr(b, e - b);
-}
-
-bool
-starts_with(std::string_view text, std::string_view prefix)
-{
-    return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-bool
-ends_with(std::string_view text, std::string_view suffix)
-{
-    return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
-}
-
 std::string
 join(const std::vector<std::string>& parts, std::string_view sep)
 {

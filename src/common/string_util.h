@@ -18,11 +18,32 @@ std::vector<std::string> split(std::string_view text, char delim);
 /// themselves contain commas, e.g. "int[2] stride=[1, 1]".
 std::vector<std::string> split_top_level(std::string_view text, char delim);
 
-/// Removes leading/trailing ASCII whitespace.
-std::string_view trim(std::string_view text);
+/// Removes leading/trailing ASCII whitespace.  Inline, like the two
+/// below: the IR and schema parsers call them for every piece they read.
+inline std::string_view
+trim(std::string_view text)
+{
+    auto space = [](char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; };
+    std::size_t b = 0;
+    std::size_t e = text.size();
+    while (b < e && space(text[b]))
+        ++b;
+    while (e > b && space(text[e - 1]))
+        --e;
+    return text.substr(b, e - b);
+}
 
-bool starts_with(std::string_view text, std::string_view prefix);
-bool ends_with(std::string_view text, std::string_view suffix);
+inline bool
+starts_with(std::string_view text, std::string_view prefix)
+{
+    return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
+}
+
+inline bool
+ends_with(std::string_view text, std::string_view suffix)
+{
+    return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
+}
 
 /// Joins tokens with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);

@@ -529,22 +529,31 @@ validate_dep_graph(const DepGraph& graph, std::size_t n_ops)
     }
 }
 
+DepGraphSeal::DepGraphSeal(std::size_t n_units)
+{
+    h_.mix_pod(static_cast<uint64_t>(n_units));
+}
+
+void
+DepGraphSeal::add(const DepUnit& u)
+{
+    h_.mix_pod(u.head);
+    h_.mix_pod(u.group);
+    h_.mix_pod(u.stream);
+    h_.mix_pod(u.comm);
+    h_.mix_pod(u.barrier);
+    h_.mix_pod(static_cast<uint64_t>(u.deps.size()));
+    for (const int d : u.deps)
+        h_.mix_pod(d);
+}
+
 uint64_t
 dep_graph_fingerprint(const DepGraph& graph)
 {
-    Fnv1a h;
-    h.mix_pod(static_cast<uint64_t>(graph.units.size()));
-    for (const DepUnit& u : graph.units) {
-        h.mix_pod(u.head);
-        h.mix_pod(u.group);
-        h.mix_pod(u.stream);
-        h.mix_pod(u.comm);
-        h.mix_pod(u.barrier);
-        h.mix_pod(static_cast<uint64_t>(u.deps.size()));
-        for (const int d : u.deps)
-            h.mix_pod(d);
-    }
-    return h.value();
+    DepGraphSeal seal(graph.units.size());
+    for (const DepUnit& u : graph.units)
+        seal.add(u);
+    return seal.value();
 }
 
 void

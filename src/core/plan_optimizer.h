@@ -30,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/reconstruction.h"
 #include "et/node.h"
 #include "framework/fused_chain.h"
@@ -126,6 +127,19 @@ void validate_dep_graph(const DepGraph& graph, std::size_t n_ops);
 /// no O(plan) re-derivation on the disk-hit path (the disk tier's whole
 /// point is being much cheaper than a build).
 uint64_t dep_graph_fingerprint(const DepGraph& graph);
+
+/// dep_graph_fingerprint fed one unit at a time, in program order: a
+/// restore seals each unit as it reads it, so the byte-serial hash runs
+/// alongside the reading instead of as a second pass.
+class DepGraphSeal {
+  public:
+    explicit DepGraphSeal(std::size_t n_units);
+    void add(const DepUnit& unit);
+    uint64_t value() const { return h_.value(); }
+
+  private:
+    Fnv1a h_;
+};
 
 /// Derives stages, metas, stream and tid for a group whose `members` and
 /// `dead` flag are already set — shared by optimize_plan and the

@@ -116,7 +116,8 @@ Reconstructor::reconstruct(const et::Node& node, bool supported)
 Reconstructor::Compiled
 Reconstructor::compile(std::string_view ir_text, const et::Node& node)
 {
-    auto it = by_text_.find(ir_text);
+    const TextProbe probe{ir_text, std::hash<std::string_view>{}(ir_text)};
+    auto it = by_text_.find(probe);
     if (it == by_text_.end()) {
         // Named after the IR, not the node: every op sharing the text runs
         // it, so run() diagnostics must not point at one particular node.
@@ -124,11 +125,18 @@ Reconstructor::compile(std::string_view ir_text, const et::Node& node)
         name.reserve(node.name.size() + 19);
         name += node.name;
         name += "_ir";
-        name += hex64(TextHash{}(ir_text));
-        const jit::Function& fn = cu_.create_function(name, ir_text);
-        it = by_text_.emplace(std::string(ir_text), &fn).first;
+        name += hex64(probe.hash);
+        const jit::Function& fn = cu_.create_function(std::move(name), ir_text);
+        it = by_text_.emplace(TextKey{std::string(ir_text), probe.hash}, &fn).first;
     }
-    return {it->second, it->first};
+    return {it->second, it->first.text};
+}
+
+void
+Reconstructor::reserve(std::size_t distinct_texts)
+{
+    by_text_.reserve(distinct_texts);
+    cu_.reserve(distinct_texts);
 }
 
 bool

@@ -93,21 +93,41 @@ class Reconstructor {
     ///        ("<op>_ir<hash of ir_text>") when it is compiled here
     Compiled compile(std::string_view ir_text, const et::Node& node);
 
+    /// Sizes the text table and compilation unit for @p distinct_texts
+    /// compiles, sparing their regrowth when the count is known up front
+    /// (a restore reads it from the document's IR table).
+    void reserve(std::size_t distinct_texts);
+
     const jit::CompilationUnit& compilation_unit() const { return cu_; }
 
   private:
-    /// Hashes std::string keys and std::string_view probes alike, so a
-    /// lookup never copies the text.
+    /// A text and its hash, computed once per compile() call: the table
+    /// lookup, the insertion and the function's name all reuse it.  Keys
+    /// own their text; probes view the caller's.
+    struct TextKey {
+        std::string text;
+        std::size_t hash = 0;
+    };
+    struct TextProbe {
+        std::string_view text;
+        std::size_t hash = 0;
+    };
     struct TextHash {
         using is_transparent = void;
-        std::size_t operator()(std::string_view s) const
+        std::size_t operator()(const TextKey& k) const { return k.hash; }
+        std::size_t operator()(const TextProbe& p) const { return p.hash; }
+    };
+    struct TextEq {
+        using is_transparent = void;
+        template <typename A, typename B>
+        bool operator()(const A& a, const B& b) const
         {
-            return std::hash<std::string_view>{}(s);
+            return std::string_view(a.text) == std::string_view(b.text);
         }
     };
 
     jit::CompilationUnit cu_;
-    std::unordered_map<std::string, const jit::Function*, TextHash, std::equal_to<>> by_text_;
+    std::unordered_map<TextKey, const jit::Function*, TextHash, TextEq> by_text_;
 };
 
 /// Executes a reconstructed op: resolves tensor arguments from their

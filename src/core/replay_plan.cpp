@@ -646,6 +646,7 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
     // by content); ops resolved through the table skip even that lookup.
     std::vector<Reconstructor::Compiled> compiled_by_ref(
         ir_table != nullptr ? ir_table->size() : 0);
+    plan->reconstructor_.reserve(compiled_by_ref.size());
     // Ops follow trace order, so each op's node is looked for just past the
     // previous one before falling back to a binary search (whose probes
     // each touch another large Node record).
@@ -673,11 +674,15 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
         const Json* ir_j = nullptr;
         const Json* stream_j = nullptr;
         for (const auto& [key, value] : ops_j[i].as_object()) {
-            const Json** field = key == "node_id" ? &node_id_j
-                                 : key == "kind"  ? &kind_j
-                                 : key == "ir"    ? &ir_j
-                                 : key == "stream" ? &stream_j
-                                                   : nullptr;
+            // The four names differ in length: one comparison per member.
+            const Json** field = nullptr;
+            switch (key.size()) {
+              case 7: field = key == "node_id" ? &node_id_j : nullptr; break;
+              case 4: field = key == "kind" ? &kind_j : nullptr; break;
+              case 2: field = key == "ir" ? &ir_j : nullptr; break;
+              case 6: field = key == "stream" ? &stream_j : nullptr; break;
+              default: break;
+            }
             if (field != nullptr && *field == nullptr)
                 *field = &value;
         }
@@ -782,9 +787,10 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
 
     // Dependency graph: restored from the document, not re-derived — the
     // disk-hit path must stay far cheaper than a plan build.  Integrity is
-    // held by two cheap O(graph) passes instead: structural validation (a
+    // held by two cheap O(graph) checks instead: structural validation (a
     // forward or self edge is a cycle) and the fingerprint seal emitted by
-    // to_json.  An edited unit, a dropped edge, or a truncated array breaks
+    // to_json, hashed unit by unit as the units are read.  An edited unit,
+    // a dropped edge, or a truncated array breaks
     // the seal; ParseError sends the store entry to quarantine instead of
     // deadlocking the async executor.  Documents without a graph (hand-
     // authored manifests) fall back to deriving it from the restored ops.
@@ -799,6 +805,7 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
             MYST_THROW(ParseError, "plan json: dep_graph columns disagree on length");
         DepGraph recorded;
         recorded.units.reserve(heads.size());
+        DepGraphSeal seal(heads.size());
         for (std::size_t ui = 0; ui < heads.size(); ++ui) {
             DepUnit u;
             u.head = static_cast<int>(heads[ui].as_int());
@@ -811,11 +818,11 @@ ReplayPlan::from_json(const Json& j, std::shared_ptr<const et::ExecutionTrace> t
             u.deps.reserve(deps.size());
             for (const Json& d : deps)
                 u.deps.push_back(static_cast<int>(d.as_int()));
+            seal.add(u);
             recorded.units.push_back(std::move(u));
         }
         validate_dep_graph(recorded, plan->ops_.size());
-        if (j.find("dep_graph_fp") == nullptr ||
-            dep_graph_fingerprint(recorded) != fp_parse(j, "dep_graph_fp"))
+        if (j.find("dep_graph_fp") == nullptr || seal.value() != fp_parse(j, "dep_graph_fp"))
             MYST_THROW(ParseError, "plan json: dep_graph does not match its seal "
                                    "(tampered or stale document)");
         plan->dep_graph_ = std::move(recorded);

@@ -186,6 +186,8 @@ for_each_top_level(std::string_view text, char delim, Fn&& fn)
     std::size_t start = 0;
     for (std::size_t i = 0; i < text.size(); ++i) {
         const char c = text[i];
+        if (c > '>' && c != '[' && c != ']' && c != delim)
+            continue; // letters and '_': most of the text, one test each
         if (c == '(' || c == '[' || c == '<') {
             ++depth;
         } else if (c == ')' || c == ']' || c == '>') {
@@ -637,16 +639,16 @@ Function::run(fw::Session& sess, std::vector<fw::IValue> tensor_inputs) const
 }
 
 const Function&
-CompilationUnit::create_function(const std::string& name, const Graph& graph)
+CompilationUnit::create_function(std::string name, const Graph& graph)
 {
-    functions_.push_back(std::make_unique<Function>(name, graph));
+    functions_.push_back(std::make_unique<Function>(std::move(name), graph));
     return *functions_.back();
 }
 
 const Function&
-CompilationUnit::create_function(const std::string& name, std::string_view ir_text)
+CompilationUnit::create_function(std::string name, std::string_view ir_text)
 {
-    functions_.push_back(std::make_unique<Function>(name, ir_text));
+    functions_.push_back(std::make_unique<Function>(std::move(name), ir_text));
     return *functions_.back();
 }
 

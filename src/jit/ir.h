@@ -139,13 +139,15 @@ class Function {
 class CompilationUnit {
   public:
     /// Compiles a graph into a named function and retains it.
-    const Function& create_function(const std::string& name, const Graph& graph);
+    const Function& create_function(std::string name, const Graph& graph);
     /// Compiles IR text into a named function and retains it (the same
     /// function as create_function(name, parse_ir(ir_text))).
-    const Function& create_function(const std::string& name, std::string_view ir_text);
+    const Function& create_function(std::string name, std::string_view ir_text);
 
     const Function* find(const std::string& name) const;
     std::size_t size() const { return functions_.size(); }
+    /// Room for @p n functions without regrowth.
+    void reserve(std::size_t n) { functions_.reserve(n); }
 
   private:
     std::vector<std::unique_ptr<Function>> functions_;
