@@ -37,22 +37,18 @@ Json::destroy_owned() noexcept
     }
 }
 
-bool
-Json::as_bool() const
+void
+Json::type_error(const char* what)
 {
-    if (!is_bool())
-        MYST_THROW(ParseError, "json: expected bool");
-    return bool_;
+    MYST_THROW(ParseError, "json: expected " << what);
 }
 
 int64_t
-Json::as_int() const
+Json::whole_double() const
 {
-    if (is_int())
-        return int_;
     if (is_double() && dbl_ == std::floor(dbl_))
         return static_cast<int64_t>(dbl_);
-    MYST_THROW(ParseError, "json: expected integer");
+    type_error("integer");
 }
 
 double
@@ -62,47 +58,7 @@ Json::as_double() const
         return static_cast<double>(int_);
     if (is_double())
         return dbl_;
-    MYST_THROW(ParseError, "json: expected number");
-}
-
-const std::string&
-Json::as_string() const
-{
-    if (!is_string())
-        MYST_THROW(ParseError, "json: expected string");
-    return str_;
-}
-
-const Json::Array&
-Json::as_array() const
-{
-    if (!is_array())
-        MYST_THROW(ParseError, "json: expected array");
-    return arr_;
-}
-
-Json::Array&
-Json::as_array()
-{
-    if (!is_array())
-        MYST_THROW(ParseError, "json: expected array");
-    return arr_;
-}
-
-const Json::Object&
-Json::as_object() const
-{
-    if (!is_object())
-        MYST_THROW(ParseError, "json: expected object");
-    return obj_;
-}
-
-Json::Object&
-Json::as_object()
-{
-    if (!is_object())
-        MYST_THROW(ParseError, "json: expected object");
-    return obj_;
+    type_error("number");
 }
 
 void

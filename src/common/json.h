@@ -89,15 +89,46 @@ class Json {
     bool is_object() const { return type_ == Type::kObject; }
 
     /// Typed accessors; throw ParseError when the type does not match.
-    bool as_bool() const;
-    int64_t as_int() const;
+    /// Inline: restoring a plan or ingesting a trace reads thousands.
+    bool as_bool() const
+    {
+        if (!is_bool())
+            type_error("bool");
+        return bool_;
+    }
+    int64_t as_int() const { return is_int() ? int_ : whole_double(); }
     /// Numeric value as double (accepts int or double).
     double as_double() const;
-    const std::string& as_string() const;
-    const Array& as_array() const;
-    Array& as_array();
-    const Object& as_object() const;
-    Object& as_object();
+    const std::string& as_string() const
+    {
+        if (!is_string())
+            type_error("string");
+        return str_;
+    }
+    const Array& as_array() const
+    {
+        if (!is_array())
+            type_error("array");
+        return arr_;
+    }
+    Array& as_array()
+    {
+        if (!is_array())
+            type_error("array");
+        return arr_;
+    }
+    const Object& as_object() const
+    {
+        if (!is_object())
+            type_error("object");
+        return obj_;
+    }
+    Object& as_object()
+    {
+        if (!is_object())
+            type_error("object");
+        return obj_;
+    }
 
     /// Appends to an array (value must be an array).
     void push_back(Json v);
@@ -134,6 +165,11 @@ class Json {
 
   private:
     void dump_to(std::string& out, int indent, int depth) const;
+
+    /// Throws ParseError("json: expected <what>").
+    [[noreturn]] static void type_error(const char* what);
+    /// as_int() of a non-integer: a whole double converts, anything else throws.
+    int64_t whole_double() const;
 
     void construct_from(const Json& other);
     /// Inline: parsing moves every node at least once.

@@ -1,6 +1,7 @@
 #include "jit/ir.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <span>
 #include <sstream>
@@ -175,6 +176,16 @@ build_ir_text(const FunctionSchema& schema, const std::vector<Constant>& constan
 
 namespace {
 
+/// Bracket nesting per character for for_each_top_level: +1 opens, -1
+/// closes, 0 for everything else.  A table lookup keeps the scan of every
+/// character free of branches.
+constexpr std::array<int8_t, 256> kNesting = [] {
+    std::array<int8_t, 256> t{};
+    t['('] = t['['] = t['<'] = 1;
+    t[')'] = t[']'] = t['>'] = -1;
+    return t;
+}();
+
 /// Calls @p fn with each trimmed, @p delim-separated piece of @p text at
 /// nesting depth 0 — split_top_level's rule ((), [] and <> nest) without
 /// materializing the pieces.
@@ -183,21 +194,17 @@ void
 for_each_top_level(std::string_view text, char delim, Fn&& fn)
 {
     int depth = 0;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < text.size(); ++i) {
-        const char c = text[i];
-        if (c > '>' && c != '[' && c != ']' && c != delim)
-            continue; // letters and '_': most of the text, one test each
-        if (c == '(' || c == '[' || c == '<') {
-            ++depth;
-        } else if (c == ')' || c == ']' || c == '>') {
-            --depth;
-        } else if (c == delim && depth == 0) {
-            fn(trim(text.substr(start, i - start)));
-            start = i + 1;
+    const char* p = text.data();
+    const char* const end = p + text.size();
+    const char* start = p;
+    for (; p != end; ++p) {
+        depth += kNesting[static_cast<unsigned char>(*p)];
+        if (*p == delim && depth == 0) {
+            fn(trim(std::string_view(start, static_cast<std::size_t>(p - start))));
+            start = p + 1;
         }
     }
-    fn(trim(text.substr(start)));
+    fn(trim(std::string_view(start, static_cast<std::size_t>(end - start))));
 }
 
 /// One node as the parser reports it: views of the IR text (or of a
