@@ -133,9 +133,22 @@ atomic_write_file(const std::string& path, std::string_view content)
 std::string
 read_file(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::optional<std::string> text = read_file_if_exists(path);
+    if (!text.has_value())
         MYST_THROW(ParseError, "cannot open file '" + path + "'");
+    return std::move(*text);
+}
+
+std::optional<std::string>
+read_file_if_exists(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        std::error_code ec;
+        if (!std::filesystem::exists(path, ec))
+            return std::nullopt;
+        MYST_THROW(ParseError, "cannot open file '" + path + "'");
+    }
     if (FaultInjection::instance().should_fail("fs.read"))
         MYST_THROW(ParseError, "injected fault: cannot read file '" + path + "'");
     in.seekg(0, std::ios::end);

@@ -15,6 +15,7 @@
 /// `fs.write_fsync`, `fs.rename`, `fs.read` — see common/fault_injection.h)
 /// so tests can prove both properties instead of assuming them.
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -35,5 +36,11 @@ bool quarantine_file(const std::string& path);
 /// the file cannot be opened or read completely — the callers (JSON layer,
 /// plan store) all treat an unreadable file as malformed input.
 std::string read_file(const std::string& path);
+
+/// read_file for a file that may legitimately be absent: std::nullopt when
+/// @p path does not exist, the contents otherwise; throws like read_file on
+/// a file that exists but cannot be read.  Existence is checked only when
+/// the open fails, so a hit costs no extra stat call.
+std::optional<std::string> read_file_if_exists(const std::string& path);
 
 } // namespace mystique

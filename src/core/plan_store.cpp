@@ -2,7 +2,7 @@
 
 #include <charconv>
 #include <exception>
-#include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "common/error.h"
@@ -43,24 +43,31 @@ std::string
 PlanStore::entry_path(const PlanKey& key) const
 {
     MYST_CHECK_MSG(!key.is_partial(), "partial (one-shot) plan keys are never persisted");
-    std::string name = "plan-" + hex64(key.trace_fp) + "-" + hex64(key.supported_fp) +
-                       "-" + hex64(key.config_fp) + "-" + hex64(key.prof_fp) + "-" +
-                       (key.has_prof ? "p" : "n") + ".json";
-    return (std::filesystem::path(dir_) / name).string();
+    // Plain concatenation — on POSIX what std::filesystem::path's operator/
+    // yields for a relative name, without parsing either into components.
+    std::string path;
+    path.reserve(dir_.size() + 80);
+    path += dir_;
+    if (path.back() != '/')
+        path += '/';
+    path += "plan-";
+    for (const uint64_t fp : {key.trace_fp, key.supported_fp, key.config_fp, key.prof_fp}) {
+        path += hex64(fp);
+        path += '-';
+    }
+    path += key.has_prof ? "p.json" : "n.json";
+    return path;
 }
 
 std::shared_ptr<const ReplayPlan>
 PlanStore::load(const PlanKey& key, std::shared_ptr<const et::ExecutionTrace> trace) const
 {
     const std::string path = entry_path(key);
-    {
-        std::error_code ec;
-        if (!std::filesystem::exists(path, ec))
-            return nullptr; // clean miss — nothing to quarantine
-    }
-
     try {
-        const std::string text = read_file(path);
+        const std::optional<std::string> read = read_file_if_exists(path);
+        if (!read.has_value())
+            return nullptr; // clean miss — nothing to quarantine
+        const std::string& text = *read;
         // Injectable corruption between read and parse (MYST_FAULT
         // store.load): exercises the quarantine path on entries whose bytes
         // arrive damaged, independent of how they got damaged.
