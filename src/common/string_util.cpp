@@ -86,10 +86,18 @@ format_us(double microseconds)
 std::string
 hex64(uint64_t value)
 {
-    std::string out(16, '0');
-    for (std::size_t i = out.size(); i-- > 0; value >>= 4)
-        out[i] = "0123456789abcdef"[value & 0xf];
+    std::string out;
+    append_hex64(out, value);
     return out;
+}
+
+void
+append_hex64(std::string& out, uint64_t value)
+{
+    const std::size_t first = out.size();
+    out.resize(first + 16);
+    for (std::size_t i = out.size(); i-- > first; value >>= 4)
+        out[i] = "0123456789abcdef"[value & 0xf];
 }
 
 } // namespace mystique

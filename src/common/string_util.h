@@ -54,6 +54,8 @@ std::string strprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// Fixed-width (16-digit, zero-padded) lowercase hex of a 64-bit value —
 /// the fingerprint spelling used in plan-store file names.
 std::string hex64(uint64_t value);
+/// Appends hex64(@p value) to @p out without a temporary string.
+void append_hex64(std::string& out, uint64_t value);
 
 /// Formats microseconds as a human-readable "12.34 ms" style string.
 std::string format_us(double microseconds);

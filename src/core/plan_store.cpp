@@ -52,7 +52,7 @@ PlanStore::entry_path(const PlanKey& key) const
         path += '/';
     path += "plan-";
     for (const uint64_t fp : {key.trace_fp, key.supported_fp, key.config_fp, key.prof_fp}) {
-        path += hex64(fp);
+        append_hex64(path, fp);
         path += '-';
     }
     path += key.has_prof ? "p.json" : "n.json";

@@ -125,7 +125,7 @@ Reconstructor::compile(std::string_view ir_text, const et::Node& node)
         name.reserve(node.name.size() + 19);
         name += node.name;
         name += "_ir";
-        name += hex64(probe.hash);
+        append_hex64(name, probe.hash);
         const jit::Function& fn = cu_.create_function(std::move(name), ir_text);
         it = by_text_.emplace(TextKey{std::string(ir_text), probe.hash}, &fn).first;
     }

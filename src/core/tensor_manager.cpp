@@ -127,7 +127,8 @@ TensorLayout::derive(const std::vector<const et::Node*>& nodes)
     // must land on the *external* source tensor, so they propagate backwards
     // through pass-through copy ops (the dataloader→device transfer chain:
     // host indices → aten::to.device → device indices → embedding_bag).
-    std::vector<Int64GenPolicy> policies(n);
+    // Sized on first use: most plans feed no embedding or loss op.
+    std::vector<Int64GenPolicy> policies;
     auto set_policy = [&](const et::Argument& arg, Int64GenPolicy policy) {
         if (arg.kind != et::Argument::Kind::kTensor)
             return;
@@ -138,6 +139,8 @@ TensorLayout::derive(const std::vector<const et::Node*>& nodes)
                 return;
             const auto slot = static_cast<std::size_t>(found);
             if (cls[slot] == kExternal) {
+                if (policies.empty())
+                    policies.resize(n);
                 policies[slot] = policy;
                 return;
             }
@@ -180,8 +183,8 @@ TensorLayout::derive(const std::vector<const et::Node*>& nodes)
 
     for (std::size_t slot = 0; slot < n; ++slot) {
         if (cls[slot] == kExternal)
-            layout.externals.push_back(
-                {static_cast<int32_t>(slot), first_meta[slot], policies[slot]});
+            layout.externals.push_back({static_cast<int32_t>(slot), first_meta[slot],
+                                        policies.empty() ? Int64GenPolicy{} : policies[slot]});
         else if (cls[slot] == kIntermediate)
             ++layout.num_intermediate;
     }

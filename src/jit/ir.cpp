@@ -594,7 +594,8 @@ Function::Function(std::string name, std::string_view ir_text) : name_(std::move
 {
     Builder builder(*this);
     // Per-op graphs: a few inputs, and one node per remaining line.
-    constants_.reserve(static_cast<std::size_t>(std::count(ir_text.begin(), ir_text.end(), '\n')));
+    if (ir_text.find("prim::Constant") != std::string_view::npos)
+        constants_.reserve(static_cast<std::size_t>(std::count(ir_text.begin(), ir_text.end(), '\n')));
     IrParser(ir_text).parse(builder);
     builder.finish();
 }
