@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <tuple>
 
 namespace mystique {
 
@@ -378,15 +379,23 @@ class Parser {
         members.reserve(4); // typical trace/plan object width; skips 2 regrowths
         while (true) {
             skip_ws();
-            std::string key = parse_string();
+            // Keys are escape-free in practice: each is built once, in place.
+            std::string_view key;
+            std::string unescaped;
+            if (!scan_plain_string(key)) {
+                unescaped = parse_string();
+                key = unescaped;
+            }
             skip_ws();
             expect(':');
             skip_ws();
             int64_t plain = 0;
             if (scan_plain_int(plain))
-                members.emplace_back(std::move(key), Json(plain));
+                members.emplace_back(std::piecewise_construct, std::forward_as_tuple(key),
+                                     std::forward_as_tuple(plain));
             else
-                members.emplace_back(std::move(key), parse_value());
+                members.emplace_back(std::piecewise_construct, std::forward_as_tuple(key),
+                                     std::forward_as_tuple(parse_value()));
             skip_ws();
             char c = next();
             if (c == '}')
@@ -433,20 +442,33 @@ class Parser {
         return Json(std::move(elements));
     }
 
+    /// A string without escapes, as a view of the text; false, with the
+    /// position unchanged, for anything else.
+    bool scan_plain_string(std::string_view& out)
+    {
+        if (pos_ >= text_.size() || text_[pos_] != '"')
+            return false;
+        std::size_t end = pos_ + 1;
+        while (end < text_.size() && text_[end] != '"' && text_[end] != '\\')
+            ++end;
+        if (end >= text_.size() || text_[end] != '"')
+            return false;
+        out = text_.substr(pos_ + 1, end - pos_ - 1);
+        pos_ = end + 1;
+        return true;
+    }
+
     std::string parse_string()
     {
+        // Fast path: most strings (every key, most values) contain no
+        // escapes — one scan to the closing quote, one construction.
+        std::string_view plain;
+        if (scan_plain_string(plain))
+            return std::string(plain);
         if (peek() != '"')
             fail("expected string");
         ++pos_;
-        // Fast path: most strings (every key, most values) contain no
-        // escapes — one scan to the closing quote, one construction.
         const std::size_t close = text_.find('"', pos_);
-        if (close != std::string_view::npos &&
-            text_.substr(pos_, close - pos_).find('\\') == std::string_view::npos) {
-            std::string out(text_.substr(pos_, close - pos_));
-            pos_ = close + 1;
-            return out;
-        }
         std::string out;
         // The text up to the first quote is a lower bound on the decoded
         // length unless an escaped quote comes first (IR texts: every line
