@@ -5,10 +5,11 @@
 ///
 /// The pool owns N OS threads that drain a FIFO task queue; submit() returns
 /// a future that delivers the task's completion (or rethrows its exception).
-/// Consumers that need deterministic work placement — ReplayDriver stripes
-/// database groups across pooled replay sessions — submit one long-running
-/// task per worker instead of one task per work item, so the pool stays a
-/// dumb, predictable executor rather than a scheduler.
+/// Consumers that need deterministic work placement — ReplayDriver assigns
+/// database groups to pooled replay sessions by a static cost-ordered
+/// schedule (core::assign_groups) — submit one long-running task per worker
+/// that replays its own list, instead of one task per work item, so the pool
+/// stays a dumb, predictable executor rather than a scheduler.
 ///
 /// Destruction drains the queue: every task already submitted runs before the
 /// threads join (a submit racing destruction throws instead of being lost).

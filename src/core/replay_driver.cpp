@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <latch>
+#include <numeric>
 #include <string>
 #include <thread>
 
@@ -47,6 +49,27 @@ env_string(const char* name)
 }
 
 } // namespace
+
+std::vector<std::vector<std::size_t>>
+assign_groups(const std::vector<uint64_t>& costs, std::size_t workers)
+{
+    std::vector<std::size_t> order(costs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (workers <= 1)
+        return {order};
+
+    std::stable_sort(order.begin(), order.end(),
+                     [&costs](std::size_t a, std::size_t b) { return costs[a] > costs[b]; });
+    std::vector<std::vector<std::size_t>> lists(workers);
+    std::vector<uint64_t> load(workers, 0);
+    for (const std::size_t i : order) {
+        const std::size_t w =
+            static_cast<std::size_t>(std::min_element(load.begin(), load.end()) - load.begin());
+        lists[w].push_back(i);
+        load[w] += costs[i];
+    }
+    return lists;
+}
 
 /// One pooled replay worker: a Session + CommFabric constructed once and
 /// reused for every group this worker replays.
@@ -307,36 +330,51 @@ ReplayDriver::replay_groups(const et::TraceDatabase& db, std::size_t top_k,
     ResolvedResilience res;
     resolve_resilience(db, groups, res);
 
+    // Static cost-balanced schedule.  A group's cost is estimated by its
+    // representative trace's node count, which the sweep already holds.
+    std::vector<uint64_t> costs(groups.size());
+    for (std::size_t i = 0; i < groups.size(); ++i)
+        costs[i] = db.trace(groups[i].representative()).size();
     const std::size_t workers = std::min(parallelism_, groups.size());
+    const std::vector<std::vector<std::size_t>> schedule = assign_groups(costs, workers);
+    for (std::size_t w = 0; w < workers; ++w)
+        ensure_worker(w); // construct on the driver thread, use on pool threads
+
+    // Each worker session is owned by exactly one task; only the PlanCache
+    // and the resilience state (both thread-safe) are shared.  Tasks never
+    // throw: every per-group outcome — including an injected sweep.group
+    // fault on several workers at once — lands in its own GroupReplayResult,
+    // so one sick group can no longer mask another's error or abort the
+    // sweep.
+    auto replay_list = [&](std::size_t w) {
+        for (const std::size_t i : schedule[w]) {
+            const auto t0 = std::chrono::steady_clock::now();
+            out.groups[i] = run_group_resilient(*workers_[w], db, groups[i], profs, res);
+            out.groups[i].host_ms = std::chrono::duration<double, std::milli>(
+                                        std::chrono::steady_clock::now() - t0)
+                                        .count();
+        }
+    };
     if (workers <= 1) {
-        Worker& w = ensure_worker(0);
-        for (std::size_t i = 0; i < groups.size(); ++i)
-            out.groups[i] = run_group_resilient(w, db, groups[i], profs, res);
+        replay_list(0);
     } else {
-        for (std::size_t w = 0; w < workers; ++w)
-            ensure_worker(w); // construct on the driver thread, use on pool threads
         if (pool_ == nullptr || pool_->size() != workers)
             pool_ = std::make_unique<ThreadPool>(workers);
-
-        // Deterministic striping: worker w replays groups w, w+K, w+2K, ...
-        // Each worker session is owned by exactly one pool task; only the
-        // PlanCache and the resilience state (both thread-safe) are shared.
-        // Tasks never throw: every per-group outcome — including an injected
-        // sweep.group fault on several workers at once — lands in its own
-        // GroupReplayResult, so one sick group can no longer mask another's
-        // error or abort the sweep.
+        // Each task waits until all K have started, so every list runs on
+        // its own pool thread.  Without the latch a thread that starts early
+        // (pool threads can start milliseconds apart on a busy host) finishes
+        // its list and takes a late thread's list too, and the busiest
+        // thread carries two lists no matter how well they were balanced.
+        std::latch started(static_cast<std::ptrdiff_t>(workers));
         std::vector<std::future<void>> done;
         done.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            done.push_back(pool_->submit([this, w, workers, &groups, &db, profs, &res,
-                                          &out] {
-                for (std::size_t i = w; i < groups.size(); i += workers)
-                    out.groups[i] =
-                        run_group_resilient(*workers_[w], db, groups[i], profs, res);
-            }));
-        }
         for (std::size_t w = 0; w < workers; ++w)
-            done[w].get();
+            done.push_back(pool_->submit([&replay_list, &started, w] {
+                started.arrive_and_wait();
+                replay_list(w);
+            }));
+        for (std::future<void>& d : done)
+            d.get();
     }
 
     // Merge in group order regardless of which worker replayed what, so the
@@ -421,6 +459,42 @@ ReplayDriver::replay_groups(const et::TraceDatabase& db, std::size_t top_k,
                      static_cast<long long>(out.arena.bytes_cached),
                      static_cast<long long>(out.arena.bytes_outstanding),
                      static_cast<long long>(out.arena.peak_bytes_outstanding));
+
+        // The schedule by its own estimate, then the measured slowest groups:
+        // their cost estimates show how well the estimate ranks real work.
+        uint64_t max_load = 0;
+        uint64_t total = 0;
+        for (const std::vector<std::size_t>& list : schedule) {
+            uint64_t load = 0;
+            for (const std::size_t i : list)
+                load += costs[i];
+            max_load = std::max(max_load, load);
+            total += load;
+        }
+        std::fprintf(stderr,
+                     "[mystique]   schedule: %zu workers, estimated max/mean worker load "
+                     "%.3f (%llu / %.1f nodes)\n",
+                     workers,
+                     total > 0 ? static_cast<double>(max_load) * static_cast<double>(workers) /
+                                     static_cast<double>(total)
+                               : 1.0,
+                     static_cast<unsigned long long>(max_load),
+                     static_cast<double>(total) / static_cast<double>(workers));
+        std::vector<std::size_t> slowest(out.groups.size());
+        std::iota(slowest.begin(), slowest.end(), std::size_t{0});
+        const std::size_t shown = std::min<std::size_t>(3, slowest.size());
+        std::partial_sort(slowest.begin(), slowest.begin() + static_cast<std::ptrdiff_t>(shown),
+                          slowest.end(), [&out](std::size_t a, std::size_t b) {
+                              return out.groups[a].host_ms > out.groups[b].host_ms;
+                          });
+        for (std::size_t k = 0; k < shown; ++k) {
+            const GroupReplayResult& g = out.groups[slowest[k]];
+            std::fprintf(stderr,
+                         "[mystique]   slow group #%zu (%s): %.3f ms host, %llu nodes "
+                         "estimated\n",
+                         slowest[k], g.group.representative_workload.c_str(), g.host_ms,
+                         static_cast<unsigned long long>(costs[slowest[k]]));
+        }
     }
     return out;
 }

@@ -16,17 +16,27 @@
 ///
 /// The driver owns a pool of `parallelism` workers, each a Session +
 /// CommFabric pair constructed once and reused across groups (and across
-/// sweeps).  Groups are striped deterministically across workers (group i →
-/// worker i % K) on a shared ThreadPool; plans are fetched through the
-/// thread-safe PlanCache, so workers hitting the same fingerprint share one
-/// build.  Before each group the worker session is reset_for_replay()ed —
-/// clocks to zero, RNG reseeded, device cleared — so every group's replay is
-/// a pure function of (plan, config) and the merged results are bit-identical
-/// to the sequential (parallelism=1) sweep: per-group results are merged in
-/// group order, making the population-weighted mean's summation order fixed.
-/// The reset deliberately keeps each session's StorageArena, so successive
-/// groups on a worker recycle tensor buffers instead of hitting the heap;
-/// set MYST_LOG=1 to print arena + plan-cache counters after each sweep.
+/// sweeps).  At K>1 groups are assigned to workers statically, costliest
+/// first (assign_groups; a group's cost is its representative trace's node
+/// count), so no worker gets two large groups while another idles, and each
+/// worker's list runs on its own thread of a shared ThreadPool.  Plans are
+/// fetched through the thread-safe PlanCache, so workers hitting the same
+/// fingerprint share one build.  Before each group the worker session is
+/// reset_for_replay()ed — clocks to zero, RNG reseeded, device cleared — so
+/// every group's replay is a pure function of (plan, config) and the merged
+/// results are bit-identical to the sequential (parallelism=1) sweep:
+/// per-group results are merged in group order, making the
+/// population-weighted mean's summation order fixed.  The reset deliberately
+/// keeps each session's StorageArena, so successive groups on a worker
+/// recycle tensor buffers instead of hitting the heap; set MYST_LOG=1 to
+/// print arena + plan-cache counters, the schedule's estimated worker
+/// imbalance and the slowest groups after each sweep.
+///
+/// The assignment is static, not a dynamic pull from a shared counter: a
+/// worker replays the same groups every sweep, so its arena stays warm for
+/// their shapes, and pool threads can start more than a millisecond apart,
+/// so under a pull the early threads took the extra groups and the busiest
+/// thread's CPU time on warm and disk-tier sweeps did not drop.
 ///
 /// ## Surviving a sweep (resilience layer)
 ///
@@ -46,7 +56,8 @@
 ///    MYST_SWEEP_GROUP_DEADLINE_MS) enforced by a cooperative CancelToken the
 ///    Replayer polls between ops (status `timed_out`; never retried), plus a
 ///    sweep-level deadline (set_sweep_deadline_ms) that marks groups it
-///    could not start as `skipped`;
+///    could not start as `skipped` — at K>1 each worker replays its list
+///    costliest first, so a deadline skips the cheapest unstarted groups;
 ///  - **journal + quarantine** — with a journal directory configured
 ///    (set_journal_dir / MYST_SWEEP_JOURNAL), per-group outcomes persist to
 ///    an append-only JSONL journal (core/sweep_journal.h): a restarted sweep
@@ -102,6 +113,11 @@ struct GroupReplayResult {
     uint32_t attempts = 0;
     /// True when the result was restored from the sweep journal.
     bool from_journal = false;
+    /// Host wall-clock time this group took in the sweep (steady clock
+    /// around the whole resilient attempt, retries and journal included).
+    /// Diagnostic only: it varies run to run, so it is never journaled and
+    /// never part of a bit-identity comparison.
+    double host_ms = 0.0;
 };
 
 /// Whole-database sweep outcome.
@@ -143,6 +159,15 @@ struct DatabaseReplayResult {
     /// max over workers (per-worker peaks occur at different times).
     fw::StorageArenaStats arena;
 };
+
+/// Static longest-processing-time-first schedule of a sweep over @p workers
+/// workers: groups are taken in decreasing @p costs order (ties by group
+/// index) and each goes to the least-loaded worker so far (ties by worker
+/// index).  Returns one list of group indices per worker, in replay order.
+/// With one worker (or zero) the single list is plain group order.  The
+/// largest worker load is at most sum(costs)/workers + max(costs) (Graham).
+std::vector<std::vector<std::size_t>> assign_groups(const std::vector<uint64_t>& costs,
+                                                    std::size_t workers);
 
 /// Sweeps a trace database: analyze → one cached plan per group → replay
 /// representatives on pooled worker sessions → weight by population.

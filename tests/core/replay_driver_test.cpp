@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -169,6 +170,94 @@ TEST(ReplayDriver, SetParallelismTakesEffect)
     expect_identical(r1, r3);
 }
 
+/// Sum of @p costs over each worker's list.
+std::vector<uint64_t>
+worker_loads(const std::vector<std::vector<std::size_t>>& lists,
+             const std::vector<uint64_t>& costs)
+{
+    std::vector<uint64_t> loads;
+    for (const std::vector<std::size_t>& list : lists) {
+        uint64_t load = 0;
+        for (const std::size_t i : list)
+            load += costs[i];
+        loads.push_back(load);
+    }
+    return loads;
+}
+
+TEST(AssignGroups, OneWorkerKeepsGroupOrder)
+{
+    // The sweep.group kOnce fault tests rely on groups[0] being attempted
+    // first in a sequential sweep, whatever the costs.
+    const std::vector<uint64_t> costs = {1, 9, 4, 9, 2};
+    const std::vector<std::vector<std::size_t>> want = {{0, 1, 2, 3, 4}};
+    EXPECT_EQ(assign_groups(costs, 1), want);
+    EXPECT_EQ(assign_groups(costs, 0), want);
+}
+
+TEST(AssignGroups, LongestFirstWithTiesByGroupIndex)
+{
+    // Equal costs: group index decides the order, lowest worker index
+    // breaks load ties.
+    const std::vector<std::vector<std::size_t>> even = {{0, 2}, {1, 3}};
+    EXPECT_EQ(assign_groups({5, 5, 5, 5}, 2), even);
+    // 1 and 2 tie at the top; 1 goes first, to worker 0.
+    const std::vector<uint64_t> costs = {1, 3, 3, 2};
+    const std::vector<std::vector<std::size_t>> want = {{1, 3}, {2, 0}};
+    EXPECT_EQ(assign_groups(costs, 2), want);
+    EXPECT_EQ(assign_groups(costs, 2), assign_groups(costs, 2));
+    // More workers than groups: the extra workers get nothing.
+    const std::vector<std::vector<std::size_t>> wide = {{1}, {2}, {3}, {0}, {}};
+    EXPECT_EQ(assign_groups(costs, 5), wide);
+}
+
+TEST(AssignGroups, EveryGroupOnceAndMaxLoadWithinGrahamBound)
+{
+    uint64_t state = 12345;
+    for (int round = 0; round < 50; ++round) {
+        const std::size_t n = 1 + static_cast<std::size_t>(round % 13);
+        std::vector<uint64_t> costs(n);
+        for (uint64_t& c : costs) {
+            state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+            c = (state >> 33) % 1000;
+        }
+        for (std::size_t k = 2; k <= 5; ++k) {
+            const auto lists = assign_groups(costs, k);
+            ASSERT_EQ(lists.size(), k);
+            std::vector<int> seen(n, 0);
+            for (const auto& list : lists)
+                for (const std::size_t i : list)
+                    ++seen[i];
+            EXPECT_EQ(seen, std::vector<int>(n, 1));
+
+            const std::vector<uint64_t> loads = worker_loads(lists, costs);
+            uint64_t total = 0;
+            for (const uint64_t c : costs)
+                total += c;
+            const uint64_t max_cost = *std::max_element(costs.begin(), costs.end());
+            const uint64_t max_load = *std::max_element(loads.begin(), loads.end());
+            EXPECT_LE(static_cast<double>(max_load),
+                      static_cast<double>(total) / static_cast<double>(k) +
+                          static_cast<double>(max_cost));
+        }
+    }
+}
+
+TEST(AssignGroups, FleetMixNodeCountsBalanceAtFourWorkers)
+{
+    // Representative-trace node counts of fleet_mix's seven groups, in group
+    // order.  Host-independent companion to the wall-clock K=4 gates: by the
+    // estimate, the busiest worker carries <= 1.3x the mean load.  LPT gives
+    // 488 / 427.5 = 1.14x; striping (group i on worker i % 4) gives 735 =
+    // 1.72x, with resnet (307) and asr (428) on one worker.
+    const std::vector<uint64_t> costs = {307, 326, 54, 239, 428, 107, 249};
+    const std::vector<uint64_t> loads = worker_loads(assign_groups(costs, 4), costs);
+    const double mean = 1710.0 / 4.0;
+    const uint64_t max_load = *std::max_element(loads.begin(), loads.end());
+    EXPECT_EQ(max_load, 488u);
+    EXPECT_LE(static_cast<double>(max_load), 1.3 * mean);
+}
+
 /// Disarms every fault site on construction and destruction, so a failing
 /// assertion mid-test can never leak an armed fault into later tests.
 struct FaultGuard {
@@ -234,6 +323,7 @@ TEST(ReplayDriverResilience, NoFaultKnobsKeepBitIdentityAtEveryParallelism)
         for (const GroupReplayResult& g : got.groups) {
             EXPECT_EQ(g.attempts, 1u);
             EXPECT_FALSE(g.from_journal);
+            EXPECT_GT(g.host_ms, 0.0);
         }
     }
 }
@@ -275,6 +365,39 @@ TEST(ReplayDriverResilience, FailedGroupIsIsolatedAndReported)
                     got.groups[i].result.mean_iter_us;
     }
     EXPECT_EQ(got.weighted_mean_iter_us, weighted / weight);
+}
+
+TEST(ReplayDriverResilience, FailedGroupIsIsolatedAtParallelismFour)
+{
+    // At K=4 the first attempt to reach the fault site can be any worker's
+    // first group; whichever it is, exactly that group fails and every other
+    // group is bit-identical to the healthy sequential sweep.
+    FaultGuard guard;
+    SweepFixture fx(fw::ExecMode::kShapeOnly, /*include_paper_preset=*/false);
+
+    PlanCache cache_ref(16);
+    ReplayDriver ref(replay_cfg(fw::ExecMode::kShapeOnly), &cache_ref, 1);
+    const DatabaseReplayResult want = ref.replay_groups(fx.db, SIZE_MAX, &fx.profs);
+
+    FaultInjection::instance().arm("sweep.group", 1, FaultMode::kOnce);
+    PlanCache cache(16);
+    ReplayDriver driver(replay_cfg(fw::ExecMode::kShapeOnly), &cache, 4);
+    const DatabaseReplayResult got = driver.replay_groups(fx.db, SIZE_MAX, &fx.profs);
+
+    ASSERT_EQ(got.groups.size(), want.groups.size());
+    EXPECT_EQ(got.groups_failed, 1u);
+    EXPECT_EQ(got.groups_ok, want.groups.size() - 1);
+    for (std::size_t i = 0; i < got.groups.size(); ++i) {
+        const GroupReplayResult& g = got.groups[i];
+        EXPECT_EQ(g.group.fingerprint, want.groups[i].group.fingerprint);
+        if (g.status == GroupStatus::kFailed) {
+            EXPECT_NE(g.error.find("injected fault"), std::string::npos) << g.error;
+            continue;
+        }
+        EXPECT_EQ(g.status, GroupStatus::kOk);
+        EXPECT_EQ(g.result.mean_iter_us, want.groups[i].result.mean_iter_us);
+        EXPECT_EQ(g.result.iter_us, want.groups[i].result.iter_us);
+    }
 }
 
 TEST(ReplayDriverResilience, ConcurrentFailuresAreAllReported)
